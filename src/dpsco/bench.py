@@ -505,7 +505,17 @@ def run_audit(
     the two means before binning; without that, far-tail bins hold a
     handful of draws and add-one smoothing reports spurious ratios.
     Clamping is post-processing, so it never understates a violation.
+
+    Each estimate draws its noise in one batch per dataset: one
+    ``size=trials`` Laplace draw for the first dataset, then one for the
+    second, from the stream's generator.
     """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     if threshold is None:
         threshold = eps + 0.5
     claimed = 1.0 / (n * eps)
@@ -516,8 +526,8 @@ def run_audit(
     data_b = data_a.copy()
     data_b[0] = 1.0
 
-    def mechanism(data: np.ndarray, gen) -> float:
-        return float(data.mean() + gen.laplace(0.0, scale))
+    def mechanism(data: np.ndarray, gen, size: int) -> np.ndarray:
+        return data.mean() + gen.laplace(0.0, scale, size=size)
 
     lo = float(data_a.mean()) - 4.0 * claimed
     hi = float(data_b.mean()) + 4.0 * claimed

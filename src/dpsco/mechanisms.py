@@ -14,7 +14,11 @@ whose minimizer is being released.
 ``empirical_epsilon`` lower-bounds the realized privacy loss of a scalar
 mechanism by comparing outcome histograms on two neighboring datasets:
 64 equal-width bins over an 8-sigma clamp window, add-one smoothing, and
-the maximum absolute log ratio across bins.
+the maximum absolute log ratio across bins. The mechanism is batched:
+``mechanism(data, generator, size) -> ndarray`` returns ``size``
+independent releases at once, and the audit calls it twice per estimate,
+first for every trial on the first dataset, then for every trial on the
+second, from one shared generator.
 """
 
 from __future__ import annotations
@@ -121,18 +125,28 @@ def _check_neighbors(data_a, data_b):
         raise ValueError("datasets must differ in at most one element")
 
 
+def _release_batch(mechanism, data, gen, size: int) -> np.ndarray:
+    out = np.asarray(mechanism(data, gen, size), dtype=np.float64)
+    if out.shape != (size,):
+        raise ValueError(f"mechanism must return an array of shape ({size},), got shape {out.shape}")
+    return out
+
+
 def empirical_epsilon(mechanism, data_a, data_b, cfg: AuditConfig, rng) -> float:
     """Histogram lower bound on the privacy loss of a scalar mechanism.
 
-    ``mechanism(data, generator) -> float`` is run cfg.trials times on
-    each dataset with a shared generator. Raises InconclusiveAuditError
-    when the outcomes concentrate in fewer than two bins (no ratio to
-    measure).
+    ``mechanism(data, generator, size) -> ndarray`` returns ``size``
+    independent releases on ``data`` as an array of shape ``(size,)``.
+    It is called once per dataset with ``size=cfg.trials``: first on
+    ``data_a``, then on ``data_b``, both from the one generator built
+    from ``rng``. Raises ValueError when a release batch has any other
+    shape, and InconclusiveAuditError when the outcomes concentrate in
+    fewer than two bins (no ratio to measure).
     """
     _check_neighbors(data_a, data_b)
     gen = as_generator(rng)
-    out_a = np.fromiter((mechanism(data_a, gen) for _ in range(cfg.trials)), np.float64, cfg.trials)
-    out_b = np.fromiter((mechanism(data_b, gen) for _ in range(cfg.trials)), np.float64, cfg.trials)
+    out_a = _release_batch(mechanism, data_a, gen, cfg.trials)
+    out_b = _release_batch(mechanism, data_b, gen, cfg.trials)
     if cfg.clamp is not None:
         lo, hi = cfg.clamp
     else:

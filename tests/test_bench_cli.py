@@ -310,6 +310,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "override, name",
+    [("n=0", "n"), ("eps=0", "eps"), ("eps=-1", "eps"), ("threshold=nan", "threshold")],
+)
+def test_cli_audit_rejects_bad_parameters_before_any_trial(override, name, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("an audit trial ran")
+
+    monkeypatch.setattr(dpsco.bench, "empirical_epsilon", no_trials)
+    assert main(["audit", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {name} must be")
+
+
 def test_cli_infeasible_schedule_suggests_a_scale(capsys):
     code = main(
         ["sweep", "--set", "solver=interpolation", "--set", "n_grid=64",

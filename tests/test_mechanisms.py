@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsco import (
     AuditConfig,
@@ -133,8 +135,17 @@ def test_audit_config_validation():
 
 
 def _mean_release(scale):
-    def mech(data, gen):
-        return float(np.mean(data) + gen.laplace(0.0, scale))
+    def mech(data, gen, size):
+        return np.mean(data) + gen.laplace(0.0, scale, size=size)
+
+    return mech
+
+
+def _mean_release_per_trial(scale):
+    """Reference for _mean_release: one scalar Laplace draw per trial."""
+
+    def mech(data, gen, size):
+        return np.array([float(np.mean(data) + gen.laplace(0.0, scale)) for _ in range(size)])
 
     return mech
 
@@ -179,7 +190,7 @@ def test_audit_flags_an_underscaled_mechanism():
 def test_audit_inconclusive_paths():
     a, b = _neighbors()
     with pytest.raises(InconclusiveAuditError):
-        empirical_epsilon(lambda data, gen: 0.0, a, b, AuditConfig(), RngStream(0))
+        empirical_epsilon(lambda data, gen, size: np.zeros(size), a, b, AuditConfig(), RngStream(0))
     # a clamp window far from all outcomes piles everything into one bin
     far = AuditConfig(clamp=(100.0, 101.0))
     with pytest.raises(InconclusiveAuditError):
@@ -195,3 +206,38 @@ def test_audit_rejects_non_neighboring_datasets():
         empirical_epsilon(_mean_release(0.1), a, b, AuditConfig(), RngStream(0))
     with pytest.raises(ValueError):
         empirical_epsilon(_mean_release(0.1), np.zeros(10), np.zeros(11), AuditConfig(), RngStream(0))
+
+
+@pytest.mark.parametrize(
+    "mech",
+    [
+        lambda data, gen, size: float(np.mean(data) + gen.laplace(0.0, 0.01)),
+        lambda data, gen, size: _mean_release(0.01)(data, gen, size - 1),
+        lambda data, gen, size: _mean_release(0.01)(data, gen, size + 1),
+        lambda data, gen, size: _mean_release(0.01)(data, gen, (size, 1)),
+    ],
+    ids=["scalar", "short", "long", "column"],
+)
+def test_audit_rejects_a_release_batch_of_the_wrong_shape(mech):
+    a, b = _neighbors()
+    with pytest.raises(ValueError, match="shape"):
+        empirical_epsilon(mech, a, b, AuditConfig(), RngStream(0))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream=st.integers(0, 1000),
+    scale=st.floats(1e-3, 1.0),
+    clamped=st.booleans(),
+)
+def test_batched_audit_equals_the_per_trial_loop(seed, stream, scale, clamped):
+    # N scalar Laplace draws equal one size=N draw bit for bit, so the
+    # batched release and the per-trial loop give the same estimate
+    n = 100
+    a, b = _neighbors(n)
+    clamp = (-4.0 * scale, 1.0 / n + 4.0 * scale) if clamped else None
+    cfg = AuditConfig(trials=10_000, clamp=clamp)
+    batched = empirical_epsilon(_mean_release(scale), a, b, cfg, RngStream(seed, stream))
+    looped = empirical_epsilon(_mean_release_per_trial(scale), a, b, cfg, RngStream(seed, stream))
+    assert batched == looped
