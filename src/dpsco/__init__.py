@@ -81,7 +81,6 @@ from .losses import (
     batch_gradients,
     batch_values,
     clip_gradients,
-    effective_lipschitz,
     lip_ext_argmin,
     lip_ext_gradient,
     lip_ext_value,

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Ball, Vector, as_point, project_onto_ball
-from .losses import IndicatorQuadratic, QuadraticAnchor, batch_ext_gradients
+from .losses import batch_ext_gradients
 from .mechanisms import (
     approx_noise_scale,
     as_generator,
@@ -100,23 +100,18 @@ def _resolve_span(inst: Instance, span: tuple[int, int] | None) -> tuple[int, in
     return lo, hi
 
 
-def _closed_form_valid(inst: Instance, domain: Ball, pts: np.ndarray, clip: float) -> bool:
+def _closed_form_valid(H: float, domain: Ball, anchors: np.ndarray, clip: float) -> bool:
     """True when the quadratic closed form equals the clipped-gradient ERM.
 
     Sufficient condition: the largest per-sample gradient anywhere in the
-    ball, H * (||center - s|| + radius), stays at or below the clip level,
-    so clipping can never activate during a solve confined to the ball.
+    ball, H * (||center - s|| + radius) over the anchors s that pull,
+    stays at or below the clip level, so clipping can never activate
+    during a solve confined to the ball.
     """
-    if not isinstance(inst.family, (QuadraticAnchor, IndicatorQuadratic)):
-        return False
-    if math.isinf(clip):
+    if math.isinf(clip) or anchors.shape[0] == 0:
         return True
-    if isinstance(inst.family, IndicatorQuadratic):
-        pts = pts[pts.any(axis=1)]
-        if pts.shape[0] == 0:
-            return True
-    reach = np.linalg.norm(pts - domain.center[None, :], axis=1).max() + domain.radius
-    return inst.family.H * reach <= clip
+    reach = np.linalg.norm(anchors - domain.center[None, :], axis=1).max() + domain.radius
+    return H * reach <= clip
 
 
 def solve_regularized_erm(
@@ -154,16 +149,17 @@ def solve_regularized_erm(
             cfg.gradient_hook(norms)
         return float(norms.max()) if norms.size else 0.0
 
-    if cfg.exact_quadratic and _closed_form_valid(inst, domain, pts, clip):
-        fam_pts = pts
-        if isinstance(inst.family, IndicatorQuadratic):
-            fam_pts = pts[pts.any(axis=1)]
-        k = fam_pts.shape[0]
+    fam = inst.family
+    anchors = fam.anchors(pts) if cfg.exact_quadratic and fam.anchors is not None else None
+    if anchors is not None and _closed_form_valid(fam.H, domain, anchors, clip):
+        k = anchors.shape[0]
         if k == 0:
             best = project_onto_ball(center, domain)
             return best, consumed_at(best)
-        alpha = inst.family.H * k / n0
-        anchor_mean = fam_pts.mean(axis=0)
+        # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H in
+        # the last bit, and this rounding is part of every recorded run
+        alpha = fam.H * k / n0
+        anchor_mean = anchors.mean(axis=0)
         unconstrained = (alpha * anchor_mean + reg * center) / (alpha + reg)
         best = project_onto_ball(unconstrained, domain)
         return best, consumed_at(best)

@@ -3,10 +3,9 @@ audits, and the oracle battery.
 
 Everything here is deterministic given (config, seed base): each sweep
 cell draws from its own seeded stream keyed by (seed, n), rows are
-emitted in grid order regardless of worker scheduling, and floats are
-written with repr so two runs of the same sweep produce byte-identical
-CSV. Wall-clock timing is opt-in (``wall_clock = 1``) precisely because
-it breaks that guarantee.
+emitted in grid order, and floats are written with repr so two runs of
+the same sweep produce byte-identical CSV. Wall-clock timing is opt-in
+(``wall_clock = 1``) precisely because it breaks that guarantee.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -360,15 +358,10 @@ def _sweep_cell(cfg: ExperimentConfig, seed_base: int, n: int, seed: int) -> dic
     }
 
 
-def run_sweep(cfg: ExperimentConfig, seed_base: int = 0, parallel: int = 1) -> list[dict]:
-    """All (n, seed) cells in grid order; deterministic for parallel >= 1."""
-    if not (isinstance(parallel, int) and parallel >= 1):
-        raise ValueError(f"parallel must be a positive integer, got {parallel}")
+def run_sweep(cfg: ExperimentConfig, seed_base: int = 0) -> list[dict]:
+    """All (n, seed) cells in grid order."""
     cells = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
-    if parallel == 1:
-        return [_sweep_cell(cfg, seed_base, n, seed) for n, seed in cells]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(lambda cell: _sweep_cell(cfg, seed_base, *cell), cells))
+    return [_sweep_cell(cfg, seed_base, n, seed) for n, seed in cells]
 
 
 def _format_cell(value) -> str:

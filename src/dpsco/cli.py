@@ -46,7 +46,10 @@ def _coerce(overrides: dict[str, str], allowed: dict[str, type]) -> dict:
     for key, raw in overrides.items():
         if key not in allowed:
             raise ValueError(f"unknown key {key!r}; valid keys: {sorted(allowed)}")
-        out[key] = allowed[key](raw)
+        try:
+            out[key] = allowed[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     return out
 
 
@@ -60,7 +63,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_sweep(args, overrides: dict[str, str]) -> int:
     cfg = load_config(args.config, overrides)
-    rows = run_sweep(cfg, seed_base=args.seed_base, parallel=args.parallel)
+    rows = run_sweep(cfg, seed_base=args.seed_base)
     out = args.out if args.out is not None else cfg.out
     if out is not None:
         write_rows_csv(rows, out)
@@ -141,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--seed-base", type=int, default=0, metavar="U64",
                         help="base seed for all random streams")
-    common.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker threads for sweep cells")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
     parser = argparse.ArgumentParser(

@@ -321,12 +321,9 @@ def _active_values_1d(inst: Instance) -> np.ndarray:
     quadratic, nonzero ones for the indicator family)."""
     if inst.d != 1:
         raise ValueError(f"this oracle is one-dimensional, got d = {inst.d}")
-    vals = inst.dataset.points[:, 0]
-    if isinstance(inst.family, IndicatorQuadratic):
-        return vals[vals != 0.0]
-    if isinstance(inst.family, QuadraticAnchor):
-        return vals
-    raise ValueError(f"this oracle needs a quadratic family, got {type(inst.family).__name__}")
+    if inst.family.anchors is None:
+        raise ValueError(f"this oracle needs a quadratic family, got {type(inst.family).__name__}")
+    return inst.family.anchors(inst.dataset.points)[:, 0]
 
 
 def superefficiency_construct(
@@ -356,14 +353,9 @@ def superefficiency_construct(
 
     points = base.dataset.points.copy()
     points[base.n - params.r :, 0] = params.anchor
-    if isinstance(base.family, IndicatorQuadratic):
-        active = points[:, 0] != 0.0
-        k_new = int(active.sum())
-        growth_new = k_new * H / base.n
-        min_new = float(points[active, 0].mean())
-    else:
-        growth_new = H
-        min_new = float(points[:, 0].mean())
+    anchors = base.family.anchors(points)
+    growth_new = base.family.weight(anchors.shape[0], base.n)
+    min_new = float(anchors[:, 0].mean())
     L_new = H * (float(np.abs(points[:, 0]).max()) + D)
     shifted = Instance(
         family=base.family,
@@ -395,9 +387,9 @@ def modulus_oracle(base: Instance, k: int) -> ModulusReport:
     For each j <= k, maximizes |new minimizer - old| over the family
     that replaces j samples with anchors at +/- the domain radius. With
     isotropic quadratics the extremal choice is exact: for the +D anchor
-    swap out the j smallest anchors (for -D, the largest); the indicator
-    family additionally enumerates how many of the swapped rows were
-    previously off. Values are cumulative maxima, hence monotone in j.
+    swap out the j smallest anchors (for -D, the largest), enumerating
+    how many of the swapped rows were previously off (none for the plain
+    quadratic). Values are cumulative maxima, hence monotone in j.
     """
     if not (isinstance(k, int) and 0 <= k < base.n):
         raise ValueError(f"k must be an integer in [0, n), got {k}")
@@ -416,16 +408,8 @@ def modulus_oracle(base: Instance, k: int) -> ModulusReport:
             return 0.0
         best = 0.0
         for anchor in (D, -D):
-            if isinstance(base.family, QuadraticAnchor):
-                # replace j anchors; mean over all n samples
-                drop = suffix[j] if anchor < 0 else prefix[j]
-                new_min = (total - float(drop) + j * anchor) / n
-                best = max(best, abs(new_min - base_min))
-                continue
-            # indicator family: j_on rows were active, j - j_on were off
-            for j_on in range(0, min(j, k_active) + 1):
-                if j - j_on > zeros:
-                    continue
+            # j_on swapped rows were active, j - j_on <= zeros were off
+            for j_on in range(max(0, j - zeros), min(j, k_active) + 1):
                 drop = suffix[j_on] if anchor < 0 else prefix[j_on]
                 new_actives = k_active - j_on + j  # anchors at +/-D are on
                 new_min = (total - float(drop) + j * anchor) / new_actives
@@ -487,13 +471,10 @@ def growth_closure_check(base: Instance, r: int, eps: float | None = None) -> Gr
         eps = math.inf if r == 0 else 1.0 / r
     elif not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    H = base.constants.H
-    if isinstance(base.family, QuadraticAnchor):
-        contributions = np.full(base.n, H)
-    elif isinstance(base.family, IndicatorQuadratic):
-        contributions = np.where(base.dataset.points.any(axis=1), H, 0.0)
-    else:
+    if base.family.anchors is None:
         raise ValueError("growth closure needs a quadratic family")
+    H = base.constants.H
+    contributions = base.family.curvatures(base.dataset.points)
     worst = float(np.sort(contributions)[::-1][:r].sum())
     coefficient = (float(contributions.sum()) - worst) / base.n
     bound = base.constants.growth - (0.0 if math.isinf(eps) else H / (base.n * eps))

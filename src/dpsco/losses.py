@@ -20,16 +20,27 @@ Families:
   y <a, x>) with psi(u) = 0 for u <= 0, u^2/(2 tau) on (0, tau], and
   u - tau/2 beyond. Margin-satisfied points pay nothing.
 
-Batch variants operate on an (n, d) payload array at once; they are the
-only code path the solvers use, so clipping is done with a mask and the
-input array is returned untouched when no row clips (runs with a slack
-clip bound stay bitwise identical to unclipped runs).
+Each family's math lives on its class: ``tag`` and ``params()`` for the
+text format, ``labeled``, batch ``values`` / ``gradients`` over an (n, d)
+payload block, and single-sample ``ext_value`` / ``ext_argmin``. The two
+anchor families also give ``anchors(points)`` (the rows that pull),
+``weight(k, n)`` (the curvature of an n-sample average around the mean of
+its k anchors) and ``curvatures(points)`` (each row's Hessian is c * I);
+the hinge has no anchors, so its ``anchors`` is None.
+
+The module functions validate inputs and call those methods. The batch
+forms are the only code path the solvers use; ``loss_value``,
+``loss_gradient`` and ``lip_ext_gradient`` are the batch forms applied to
+one row. Clipping is done with a mask and the input array is returned
+untouched when no row clips (runs with a slack clip bound stay bitwise
+identical to unclipped runs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,20 +53,84 @@ class QuadraticAnchor:
 
     H: float
 
+    tag: ClassVar[str] = "quadratic-anchor"
+    labeled: ClassVar[bool] = False
+
     def __post_init__(self):
         if not (self.H > 0 and math.isfinite(self.H)):
             raise ValueError(f"curvature H must be positive, got {self.H}")
+
+    def params(self) -> tuple[float, ...]:
+        return (self.H,)
+
+    def anchors(self, points: np.ndarray) -> np.ndarray:
+        """The payload rows that pull: all of them."""
+        return points
+
+    def weight(self, k: int, n: int) -> float:
+        """Curvature of the n-sample average loss around its anchor mean."""
+        return self.H
+
+    def curvatures(self, points: np.ndarray) -> np.ndarray:
+        """Per-row c with Hessian c * I."""
+        return np.full(points.shape[0], self.H)
+
+    def values(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
+        diff = x[None, :] - points
+        return 0.5 * self.H * np.einsum("ij,ij->i", diff, diff)
+
+    def gradients(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
+        return self.H * (x[None, :] - points)
+
+    def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
+        H = self.H
+        r = float(np.linalg.norm(x - s))
+        if H * r <= L:
+            return 0.5 * H * r * r
+        return L * r - L * L / (2.0 * H)
+
+    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
+        H = self.H
+        diff = x - s
+        r = float(np.linalg.norm(diff))
+        if H * r <= L:
+            return x.copy()
+        return s + (L / (H * r)) * diff
 
 
 @dataclass(frozen=True)
-class IndicatorQuadratic:
-    """Quadratic anchor loss gated by a nonzero payload."""
+class IndicatorQuadratic(QuadraticAnchor):
+    """Quadratic anchor loss gated by a nonzero payload.
 
-    H: float
+    Only the gating differs from ``QuadraticAnchor``: an all-zero row is
+    off, so it adds no value, no gradient and no curvature.
+    """
 
-    def __post_init__(self):
-        if not (self.H > 0 and math.isfinite(self.H)):
-            raise ValueError(f"curvature H must be positive, got {self.H}")
+    tag: ClassVar[str] = "indicator-quadratic"
+
+    def anchors(self, points: np.ndarray) -> np.ndarray:
+        """The payload rows that pull: the nonzero ones."""
+        return points[points.any(axis=1)]
+
+    def weight(self, k: int, n: int) -> float:
+        return self.H * k / n
+
+    def curvatures(self, points: np.ndarray) -> np.ndarray:
+        return np.where(points.any(axis=1), self.H, 0.0)
+
+    def values(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
+        return np.where(points.any(axis=1), super().values(x, points), 0.0)
+
+    def gradients(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
+        grads = super().gradients(x, points)
+        grads[~points.any(axis=1)] = 0.0
+        return grads
+
+    def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
+        return super().ext_value(x, s, label, L) if s.any() else 0.0
+
+    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
+        return super().ext_argmin(x, s, label, L) if s.any() else x.copy()
 
 
 @dataclass(frozen=True)
@@ -63,28 +138,66 @@ class SmoothedHingeMargin:
     """Margin loss with a quadratically smoothed hinge corner.
 
     tau defaults to margin / 2; the smoothed corner keeps per-sample
-    smoothness ||a||^2 / tau finite.
+    smoothness ||a||^2 / tau finite. No row is an anchor, so the family
+    has no closed-form minimizer and ``anchors`` is None.
     """
 
     margin: float
-    tau: float = -1.0  # sentinel; replaced by margin / 2 in __post_init__
+    tau: float | None = None
+
+    tag: ClassVar[str] = "smoothed-hinge-margin"
+    labeled: ClassVar[bool] = True
+    anchors: ClassVar[None] = None
 
     def __post_init__(self):
         if not (self.margin > 0 and math.isfinite(self.margin)):
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.tau == -1.0:
+        if self.tau is None:
             object.__setattr__(self, "tau", self.margin / 2.0)
         if not (0 < self.tau and math.isfinite(self.tau)):
             raise ValueError(f"smoothing width tau must be positive, got {self.tau}")
 
+    def params(self) -> tuple[float, ...]:
+        return (self.margin, self.tau)
+
+    def values(self, x: Vector, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        u = self.margin - labels * (points @ x)
+        tau = self.tau
+        quad = u * u / (2.0 * tau)
+        lin = u - tau / 2.0
+        return np.where(u <= 0, 0.0, np.where(u <= tau, quad, lin))
+
+    def gradients(self, x: Vector, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        u = self.margin - labels * (points @ x)
+        slope = np.clip(u / self.tau, 0.0, 1.0)
+        return (-slope * labels)[:, None] * points
+
+    def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
+        u = self.margin - label * float(s @ x)
+        a_norm = float(np.linalg.norm(s))
+        c = L / a_norm if a_norm > 0.0 else math.inf
+        tau = self.tau
+        if c >= 1.0 or u <= c * tau:
+            return float(self.values(x, s[None, :], np.array([float(label)]))[0])
+        # slope of psi caps at c from u = c*tau onward
+        return c * u - c * c * tau / 2.0
+
+    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
+        u = self.margin - label * float(s @ x)
+        a_norm = float(np.linalg.norm(s))
+        if a_norm == 0.0:
+            return x.copy()
+        c = L / a_norm
+        tau = self.tau
+        if c >= 1.0 or u <= c * tau:
+            return x.copy()
+        # walk against the margin gradient until the slope drops to c
+        return x + ((u - c * tau) / (a_norm * a_norm)) * label * s
+
 
 LossFamily = QuadraticAnchor | IndicatorQuadratic | SmoothedHingeMargin
 
-FAMILY_TAGS = {
-    QuadraticAnchor: "quadratic-anchor",
-    IndicatorQuadratic: "indicator-quadratic",
-    SmoothedHingeMargin: "smoothed-hinge-margin",
-}
+FAMILY_TAGS = {cls: cls.tag for cls in (QuadraticAnchor, IndicatorQuadratic, SmoothedHingeMargin)}
 
 
 @dataclass(frozen=True)
@@ -103,172 +216,70 @@ class ExtensionQuery:
             raise ValueError(f"clip level must be positive, got {self.clipL}")
 
 
-def _require_label(family, label):
-    if isinstance(family, SmoothedHingeMargin):
-        if label is None:
-            raise ValueError("hinge samples need a +/-1 label")
-        return float(label)
-    if label is not None:
+def _check_labels(family: LossFamily, labels) -> None:
+    if family.labeled and labels is None:
+        raise ValueError(f"{type(family).__name__} samples need +/-1 labels")
+    if not family.labeled and labels is not None:
         raise ValueError(f"{type(family).__name__} samples carry no label")
-    return None
+
+
+def _one_row(x, payload, label) -> tuple[Vector, np.ndarray, np.ndarray | None]:
+    """One sample as the (x, points, labels) arguments of a batch form."""
+    x = as_point(x)
+    payload = as_point(payload, x.shape[0])
+    return x, payload[None, :], None if label is None else np.array([float(label)])
 
 
 # -- single-sample values and gradients ------------------------------------
 
 
 def loss_value(family: LossFamily, x, payload, label=None) -> float:
-    x = as_point(x)
-    payload = as_point(payload, x.shape[0])
-    label = _require_label(family, label)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if isinstance(family, IndicatorQuadratic) and not payload.any():
-            return 0.0
-        diff = x - payload
-        return 0.5 * family.H * float(diff @ diff)
-    u = family.margin - label * float(payload @ x)
-    return _psi(u, family.tau)
+    return float(batch_values(family, *_one_row(x, payload, label))[0])
 
 
 def loss_gradient(family: LossFamily, x, payload, label=None) -> Vector:
-    x = as_point(x)
-    payload = as_point(payload, x.shape[0])
-    label = _require_label(family, label)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if isinstance(family, IndicatorQuadratic) and not payload.any():
-            return np.zeros_like(x)
-        return family.H * (x - payload)
-    u = family.margin - label * float(payload @ x)
-    return -_psi_slope(u, family.tau) * label * payload
-
-
-def _psi(u: float, tau: float) -> float:
-    if u <= 0:
-        return 0.0
-    if u <= tau:
-        return u * u / (2.0 * tau)
-    return u - tau / 2.0
-
-
-def _psi_slope(u: float, tau: float) -> float:
-    if u <= 0:
-        return 0.0
-    if u <= tau:
-        return u / tau
-    return 1.0
+    return batch_gradients(family, *_one_row(x, payload, label))[0]
 
 
 # -- Lipschitzian extension -------------------------------------------------
 
 
 def lip_ext_value(family: LossFamily, query: ExtensionQuery) -> float:
-    x, s, L = query.x, query.payload, query.clipL
-    label = _require_label(family, query.label)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if isinstance(family, IndicatorQuadratic) and not s.any():
-            return 0.0
-        H = family.H
-        r = float(np.linalg.norm(x - s))
-        if H * r <= L:
-            return 0.5 * H * r * r
-        return L * r - L * L / (2.0 * H)
-    u = family.margin - label * float(s @ x)
-    a_norm = float(np.linalg.norm(s))
-    if a_norm == 0.0:
-        return _psi(u, family.tau)
-    c = L / a_norm
-    tau = family.tau
-    if c >= 1.0 or u <= c * tau:
-        return _psi(u, tau)
-    # slope of psi caps at c from u = c*tau onward
-    return c * u - c * c * tau / 2.0
+    _check_labels(family, query.label)
+    return family.ext_value(query.x, query.payload, query.label, query.clipL)
 
 
 def lip_ext_gradient(family: LossFamily, query: ExtensionQuery) -> Vector:
     """Gradient of the extension; norm never exceeds the clip level.
 
-    Where ||grad f(x)|| <= clipL (equality included) this is exactly
-    grad f(x), bit for bit.
+    This is ``batch_ext_gradients`` on one row: the raw gradient, scaled
+    back onto the clip sphere when its norm exceeds clipL. Where
+    ||grad f(x)|| <= clipL (equality included) it is exactly grad f(x),
+    bit for bit.
     """
-    x, s, L = query.x, query.payload, query.clipL
-    label = _require_label(family, query.label)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if isinstance(family, IndicatorQuadratic) and not s.any():
-            return np.zeros_like(x)
-        H = family.H
-        diff = x - s
-        r = float(np.linalg.norm(diff))
-        if H * r <= L:
-            return H * diff
-        return (L / r) * diff
-    u = family.margin - label * float(s @ x)
-    a_norm = float(np.linalg.norm(s))
-    slope = _psi_slope(u, family.tau)
-    if a_norm > 0.0:
-        slope = min(slope, L / a_norm)
-    return -slope * label * s
+    grads, _ = batch_ext_gradients(
+        family, *_one_row(query.x, query.payload, query.label), query.clipL
+    )
+    return grads[0]
 
 
 def lip_ext_argmin(family: LossFamily, query: ExtensionQuery) -> Vector:
     """A point y(x) attaining inf_y f(y) + L ||x - y||."""
-    x, s, L = query.x, query.payload, query.clipL
-    label = _require_label(family, query.label)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if isinstance(family, IndicatorQuadratic) and not s.any():
-            return x.copy()
-        H = family.H
-        diff = x - s
-        r = float(np.linalg.norm(diff))
-        if H * r <= L:
-            return x.copy()
-        return s + (L / (H * r)) * diff
-    u = family.margin - label * float(s @ x)
-    a_norm = float(np.linalg.norm(s))
-    if a_norm == 0.0:
-        return x.copy()
-    c = L / a_norm
-    tau = family.tau
-    if c >= 1.0 or u <= c * tau:
-        return x.copy()
-    # walk against the margin gradient until the slope drops to c
-    return x + ((u - c * tau) / (a_norm * a_norm)) * label * s
+    _check_labels(family, query.label)
+    return family.ext_argmin(query.x, query.payload, query.label, query.clipL)
 
 
 # -- batch interface --------------------------------------------------------
 
 
 def batch_values(family: LossFamily, x, points: np.ndarray, labels=None) -> np.ndarray:
-    x = as_point(x)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if labels is not None:
-            raise ValueError(f"{type(family).__name__} samples carry no label")
-        diff = x[None, :] - points
-        vals = 0.5 * family.H * np.einsum("ij,ij->i", diff, diff)
-        if isinstance(family, IndicatorQuadratic):
-            vals = np.where(points.any(axis=1), vals, 0.0)
-        return vals
-    if labels is None:
-        raise ValueError("hinge samples need +/-1 labels")
-    u = family.margin - labels * (points @ x)
-    tau = family.tau
-    quad = u * u / (2.0 * tau)
-    lin = u - tau / 2.0
-    return np.where(u <= 0, 0.0, np.where(u <= tau, quad, lin))
+    _check_labels(family, labels)
+    return family.values(as_point(x), points, labels)
 
 
 def batch_gradients(family: LossFamily, x, points: np.ndarray, labels=None) -> np.ndarray:
-    x = as_point(x)
-    if isinstance(family, (QuadraticAnchor, IndicatorQuadratic)):
-        if labels is not None:
-            raise ValueError(f"{type(family).__name__} samples carry no label")
-        grads = family.H * (x[None, :] - points)
-        if isinstance(family, IndicatorQuadratic):
-            grads[~points.any(axis=1)] = 0.0
-        return grads
-    if labels is None:
-        raise ValueError("hinge samples need +/-1 labels")
-    u = family.margin - labels * (points @ x)
-    slope = np.clip(u / family.tau, 0.0, 1.0)
-    return (-slope * labels)[:, None] * points
+    _check_labels(family, labels)
+    return family.gradients(as_point(x), points, labels)
 
 
 def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
@@ -298,16 +309,3 @@ def batch_ext_gradients(
     """Extension gradients for a payload block: gradients then mask-clip."""
     grads = batch_gradients(family, x, points, labels)
     return clip_gradients(grads, clip)
-
-
-def effective_lipschitz(constants, ball, *, interpolating: bool) -> float:
-    """Lipschitz bound to hand a solver confined to ``ball``.
-
-    Under interpolation every per-sample gradient at distance r from the
-    shared minimizer has norm at most H * r, so H * diameter bounds all
-    gradients seen inside the ball; otherwise only the declared global
-    constant is safe.
-    """
-    if interpolating:
-        return constants.H * ball.diameter
-    return constants.L

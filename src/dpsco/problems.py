@@ -32,15 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Ball, Vector, as_point, project_onto_ball
-from .losses import (
-    FAMILY_TAGS,
-    IndicatorQuadratic,
-    LossFamily,
-    QuadraticAnchor,
-    SmoothedHingeMargin,
-    batch_gradients,
-    batch_values,
-)
+from .losses import FAMILY_TAGS, LossFamily, batch_gradients, batch_values
 
 
 class UnsupportedFamilyError(ValueError):
@@ -184,16 +176,14 @@ class Instance:
             raise ValueError(
                 f"dataset dimension {self.dataset.d} != domain dimension {self.domain.d}"
             )
-        needs_labels = isinstance(self.family, SmoothedHingeMargin)
-        if needs_labels and self.dataset.labels is None:
-            raise ValueError("hinge instances need labeled samples")
-        if not needs_labels and self.dataset.labels is not None:
-            raise ValueError(f"{type(self.family).__name__} instances carry no labels")
-        if isinstance(self.family, (QuadraticAnchor, IndicatorQuadratic)):
-            if self.family.H != self.constants.H:
-                raise ValueError(
-                    f"family curvature {self.family.H} != declared H {self.constants.H}"
-                )
+        fam = self.family
+        if fam.labeled and self.dataset.labels is None:
+            raise ValueError(f"{type(fam).__name__} instances need labeled samples")
+        if not fam.labeled and self.dataset.labels is not None:
+            raise ValueError(f"{type(fam).__name__} instances carry no labels")
+        # an anchor family's curvature is its own parameter H
+        if fam.anchors is not None and fam.H != self.constants.H:
+            raise ValueError(f"family curvature {fam.H} != declared H {self.constants.H}")
         if self.optimum is not None:
             if self.optimum.point.shape[0] != self.dataset.d:
                 raise ValueError("optimum dimension does not match the dataset")
@@ -224,13 +214,10 @@ def exact_minimizer(inst: Instance) -> Vector:
     mean; exact because the quadratic is isotropic). For the hinge the
     declared optimum is returned; there is no general closed form.
     """
-    if isinstance(inst.family, (QuadraticAnchor, IndicatorQuadratic)):
-        pts = inst.dataset.points
-        if isinstance(inst.family, IndicatorQuadratic):
-            active = pts.any(axis=1)
-            if not active.any():
-                return inst.domain.center.copy()
-            pts = pts[active]
+    if inst.family.anchors is not None:
+        pts = inst.family.anchors(inst.dataset.points)
+        if pts.shape[0] == 0:
+            return inst.domain.center.copy()
         return project_onto_ball(pts.mean(axis=0), inst.domain)
     if inst.optimum is not None:
         return project_onto_ball(inst.optimum.point, inst.domain)
@@ -247,16 +234,12 @@ def excess_risk(inst: Instance, x) -> float:
     """
     x = as_point(x, inst.d)
     fam = inst.family
-    if isinstance(fam, (QuadraticAnchor, IndicatorQuadratic)):
-        pts = inst.dataset.points
-        weight = fam.H
-        if isinstance(fam, IndicatorQuadratic):
-            active = pts.any(axis=1)
-            k = int(active.sum())
-            if k == 0:
-                return 0.0
-            pts = pts[active]
-            weight = fam.H * k / inst.n
+    if fam.anchors is not None:
+        pts = fam.anchors(inst.dataset.points)
+        k = pts.shape[0]
+        if k == 0:
+            return 0.0
+        weight = fam.weight(k, inst.n)
         center = pts.mean(axis=0)
         best = project_onto_ball(center, inst.domain)
         gap = 0.5 * weight * (
@@ -333,7 +316,7 @@ class RunTrace:
 
 # -- text serialization ------------------------------------------------------
 
-_TAG_TO_FAMILY = {tag: cls for cls, tag in FAMILY_TAGS.items()}
+_TAG_TO_FAMILY = {cls.tag: cls for cls in FAMILY_TAGS}
 
 
 def _fmt(values) -> str:
@@ -342,11 +325,7 @@ def _fmt(values) -> str:
 
 def instance_to_text(inst: Instance) -> str:
     fam = inst.family
-    lines = ["dpsco-instance 1", f"family {FAMILY_TAGS[type(fam)]}"]
-    if isinstance(fam, (QuadraticAnchor, IndicatorQuadratic)):
-        lines.append(f"params {_fmt([fam.H])}")
-    else:
-        lines.append(f"params {_fmt([fam.margin, fam.tau])}")
+    lines = ["dpsco-instance 1", f"family {fam.tag}", f"params {_fmt(fam.params())}"]
     c = inst.constants
     lines.append(f"constants {_fmt([c.L, c.H, c.growth, c.kappa, c.kappa_floor])}")
     lines.append(f"domain {_fmt(list(inst.domain.center) + [inst.domain.radius])}")
@@ -386,8 +365,10 @@ def instance_from_text(text: str) -> Instance:
     if tag not in _TAG_TO_FAMILY:
         raise ValueError(f"unknown family tag {tag!r}")
     params = [float(v) for v in take("params")]
-    cls = _TAG_TO_FAMILY[tag]
-    family = cls(params[0]) if cls is not SmoothedHingeMargin else cls(params[0], params[1])
+    try:
+        family = _TAG_TO_FAMILY[tag](*params)
+    except TypeError as exc:
+        raise ValueError(f"bad params for family {tag!r}: {exc}") from exc
     cv = [float(v) for v in take("constants")]
     constants = LossConstants(L=cv[0], H=cv[1], growth=cv[2], kappa=cv[3], kappa_floor=cv[4])
     dom = [float(v) for v in take("domain")]

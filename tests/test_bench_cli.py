@@ -126,12 +126,9 @@ def test_sweep_deterministic_and_parallel_invariant():
     cfg = ExperimentConfig(solver="localization-erm", n_grid=(64, 128), seeds=3)
     first = rows_to_csv(run_sweep(cfg, seed_base=3))
     again = rows_to_csv(run_sweep(cfg, seed_base=3))
-    threaded = rows_to_csv(run_sweep(cfg, seed_base=3, parallel=4))
-    assert first == again == threaded
+    assert first == again
     other_base = rows_to_csv(run_sweep(cfg, seed_base=4))
     assert other_base != first
-    with pytest.raises(ValueError):
-        run_sweep(cfg, seed_base=3, parallel=0)
 
 
 def test_sweep_dispatches_every_solver_and_family():
@@ -264,10 +261,7 @@ def test_cli_sweep_writes_deterministic_csv(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg_path), "--out", str(out1), "--seed-base", "3"])
     assert code == 0
     assert "wrote 4 rows" in capsys.readouterr().out
-    code = main(
-        ["sweep", "--config", str(cfg_path), "--out", str(out2), "--seed-base", "3",
-         "--parallel", "4"]
-    )
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out2), "--seed-base", "3"])
     assert code == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
@@ -311,10 +305,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override, name",
-    [("n=0", "n"), ("eps=0", "eps"), ("eps=-1", "eps"), ("threshold=nan", "threshold")],
+    "override, reason",
+    [
+        pytest.param("n=0", "n must be", id="n=0-n"),
+        pytest.param("eps=0", "eps must be", id="eps=0-eps"),
+        pytest.param("eps=-1", "eps must be", id="eps=-1-eps"),
+        pytest.param("threshold=nan", "threshold must be", id="threshold=nan-threshold"),
+        pytest.param("n=1.5", "config key 'n': ", id="n=1.5-n"),
+    ],
 )
-def test_cli_audit_rejects_bad_parameters_before_any_trial(override, name, monkeypatch, capsys):
+def test_cli_audit_rejects_bad_parameters_before_any_trial(override, reason, monkeypatch, capsys):
     def no_trials(*args, **kwargs):
         raise AssertionError("an audit trial ran")
 
@@ -322,7 +322,7 @@ def test_cli_audit_rejects_bad_parameters_before_any_trial(override, name, monke
     assert main(["audit", "--set", override]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: {name} must be")
+    assert captured.err.startswith(f"config error: {reason}")
 
 
 def test_cli_infeasible_schedule_suggests_a_scale(capsys):

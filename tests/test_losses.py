@@ -7,17 +7,14 @@ import pytest
 
 import _oracles
 from dpsco import (
-    Ball,
     ExtensionQuery,
     IndicatorQuadratic,
-    LossConstants,
     QuadraticAnchor,
     SmoothedHingeMargin,
     batch_ext_gradients,
     batch_gradients,
     batch_values,
     clip_gradients,
-    effective_lipschitz,
     lip_ext_argmin,
     lip_ext_gradient,
     lip_ext_value,
@@ -59,6 +56,8 @@ def test_family_parameter_validation():
         SmoothedHingeMargin(margin=0.0)
     with pytest.raises(ValueError):
         SmoothedHingeMargin(margin=1.0, tau=0.0)
+    with pytest.raises(ValueError):
+        SmoothedHingeMargin(margin=1.0, tau=-1.0)
 
 
 def test_hinge_tau_defaults_to_half_margin():
@@ -304,6 +303,17 @@ def test_batch_values_and_gradients_match_singles():
             li = labels[i] if kind == "hinge" else None
             assert vals[i] == pytest.approx(loss_value(fam, x, pts[i], label=li), abs=1e-12)
             assert np.allclose(grads[i], loss_gradient(fam, x, pts[i], label=li), atol=1e-12)
+        # row for row, the block the solvers clip equals the single-sample extension
+        block = pts.copy()
+        block[::10] = 0.0  # rows the indicator family switches off
+        norms = np.linalg.norm(batch_gradients(fam, x, block, lab), axis=1)
+        clip = float(np.median(norms[norms > 0]))
+        assert 0 < np.count_nonzero(norms > clip) < 50
+        ext, _ = batch_ext_gradients(fam, x, block, lab, clip)
+        for i in range(50):
+            li = labels[i] if kind == "hinge" else None
+            q = ExtensionQuery(x=x, payload=block[i], clipL=clip, label=li)
+            assert np.allclose(ext[i], lip_ext_gradient(fam, q), rtol=0, atol=1e-12)
 
 
 def test_clip_gradients_identity_when_nothing_clips():
@@ -336,10 +346,3 @@ def test_batch_ext_gradients_composes_gradients_and_clipping():
     raw = batch_gradients(QA, x, pts, None)
     expect, _ = clip_gradients(raw, 0.7)
     assert np.allclose(out, expect, atol=0)
-
-
-def test_effective_lipschitz_uses_smoothness_under_interpolation():
-    constants = LossConstants(L=5.0, H=2.0)
-    ball = Ball(np.zeros(2), 0.25)  # diameter 0.5
-    assert effective_lipschitz(constants, ball, interpolating=True) == 1.0
-    assert effective_lipschitz(constants, ball, interpolating=False) == 5.0

@@ -256,6 +256,10 @@ def test_text_roundtrip_hinge_with_labels_and_point_optimum():
     assert back.family.tau == 0.25
     assert np.array_equal(back.dataset.labels, inst.dataset.labels)
     assert np.array_equal(back.optimum.point, inst.optimum.point)
+    # a negative tau is rejected, not read as the margin / 2 default
+    bad = instance_to_text(inst).replace("params 1.0 0.25", "params 0.25 -1.0")
+    with pytest.raises(ValueError, match="tau"):
+        instance_from_text(bad)
 
 
 def test_text_roundtrip_plane_optimum_and_indicator():
