@@ -25,6 +25,7 @@ from .bench import (
     OracleLine,
     RateFit,
     build_instance,
+    coerce_mapping,
     config_from_mapping,
     fit_rate,
     load_config,
@@ -72,7 +73,7 @@ from .interpolation import (
     shrink_diameter,
 )
 from .losses import (
-    FAMILY_TAGS,
+    FAMILIES,
     ExtensionQuery,
     IndicatorQuadratic,
     QuadraticAnchor,

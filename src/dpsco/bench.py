@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import time
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from .interpolation import (
     interpolation_localization,
     kappa_interpolation,
 )
+from .losses import IndicatorQuadratic, QuadraticAnchor, SmoothedHingeMargin
 from .mechanisms import AuditConfig, RngStream, empirical_epsilon
 from .problems import (
     Instance,
@@ -65,14 +67,14 @@ CSV_COLUMNS = (
 )
 
 SOLVER_IDS = ("interpolation", "kappa", "adaptive", "epoch-growth", "localization-erm")
-FAMILY_IDS = ("quadratic-anchor", "indicator-quadratic", "smoothed-hinge-margin")
 
 LINEAR_IN_N = "log-linear-in-n"
 LINEAR_IN_LOG_N = "log-linear-in-log-n"
 
 
 class DegenerateFitError(ValueError):
-    """Rate fit impossible: too few grid points or non-positive medians."""
+    """Rate fit impossible: too few grid points, or a median that is not
+    finite and positive."""
 
 
 # -- configuration -----------------------------------------------------------
@@ -84,11 +86,12 @@ class ExperimentConfig:
 
     Schedule knobs: leave T and m unset to derive the block schedule from
     the constants; set m (and optionally T, default n // m) to pin it.
-    beta unset means n**(-mu).
+    beta unset means n**(-mu). Each field's annotation is also the type
+    its key=value text is parsed to (``config_from_mapping``).
     """
 
     solver: str = "interpolation"
-    family: str = "quadratic-anchor"
+    family: str = QuadraticAnchor.tag
     n_grid: tuple[int, ...] = (1024, 2048, 4096, 8192, 16384)
     seeds: int = 20
     d: int = 2
@@ -106,14 +109,15 @@ class ExperimentConfig:
     constant_scale: float = 1.0
     inner_epochs: int | None = None
     eta: float | None = None
-    out: str | None = None
     wall_clock: bool = False
 
     def __post_init__(self):
         if self.solver not in SOLVER_IDS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVER_IDS}")
-        if self.family not in FAMILY_IDS:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILY_IDS}")
+        if self.family not in _INSTANCE_BUILDERS:
+            raise ValueError(
+                f"unknown family {self.family!r}; choose from {tuple(_INSTANCE_BUILDERS)}"
+            )
         grid = tuple(int(n) for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid must be nonempty")
@@ -148,14 +152,14 @@ class ExperimentConfig:
             raise ValueError(f"constant_scale must be positive, got {self.constant_scale}")
         if self.eta is not None and not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.family == "indicator-quadratic" and self.xstar_offset == 0:
-            raise ValueError("indicator-quadratic needs a nonzero xstar_offset")
+        if self.family == IndicatorQuadratic.tag and self.xstar_offset == 0:
+            raise ValueError(f"{IndicatorQuadratic.tag} needs a nonzero xstar_offset")
         if self.radius is not None:
             if not self.radius > 0:
                 raise ValueError(f"radius must be positive, got {self.radius}")
-            if self.family != "quadratic-anchor":
+            if self.family != QuadraticAnchor.tag:
                 raise ValueError(
-                    "radius is only supported for the quadratic-anchor family"
+                    f"radius is only supported for the {QuadraticAnchor.tag} family"
                 )
 
 
@@ -172,31 +176,8 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
 
 
-_OPTIONAL_FLOAT = ("beta", "eta", "radius")
-_OPTIONAL_INT = ("T", "m", "inner_epochs")
-_COERCERS = {
-    "solver": str,
-    "family": str,
-    "n_grid": _parse_grid,
-    "seeds": int,
-    "d": int,
-    "eps": float,
-    "delta": float,
-    "H": float,
-    "xstar_offset": float,
-    "noise_std": float,
-    "radius": float,
-    "margin": float,
-    "mu": float,
-    "beta": float,
-    "T": int,
-    "m": int,
-    "constant_scale": float,
-    "inner_epochs": int,
-    "eta": float,
-    "out": str,
-    "wall_clock": _parse_bool,
-}
+_PARSERS = {bool: _parse_bool, tuple[int, ...]: _parse_grid}
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -213,21 +194,33 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+def coerce_mapping(mapping: dict[str, str], hints: dict[str, object]) -> dict:
+    """Parse raw key=value strings to the type each key is annotated with.
+
+    An empty or "none" value becomes None where the annotation admits None.
+    """
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in _COERCERS:
-            raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(_COERCERS)}")
+        if key not in hints:
+            raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(hints)}")
+        hint = hints[key]
+        admits_none = type(None) in typing.get_args(hint)
         if raw == "" or raw.lower() == "none":
-            if key in _OPTIONAL_FLOAT + _OPTIONAL_INT + ("out",):
+            if admits_none:
                 kwargs[key] = None
                 continue
             raise ValueError(f"config key {key!r} needs a value")
+        if admits_none:
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
         try:
-            kwargs[key] = _COERCERS[key](raw)
+            kwargs[key] = _PARSERS.get(hint, hint)(raw)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    return kwargs
+
+
+def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+    return ExperimentConfig(**coerce_mapping(mapping, _CONFIG_TYPES))
 
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -244,20 +237,26 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Ex
 # -- sweep -------------------------------------------------------------------
 
 
+# family tag -> (cfg, n, xstar, rng) -> Instance; the keys are the sweep's family ids
+_INSTANCE_BUILDERS = {
+    QuadraticAnchor.tag: lambda cfg, n, xstar, rng: (
+        make_noisy_least_squares(cfg.d, n, xstar, cfg.H, cfg.noise_std, rng, radius=cfg.radius)
+        if cfg.noise_std > 0
+        else make_noiseless_least_squares(cfg.d, n, xstar, cfg.H, rng, radius=cfg.radius)
+    ),
+    IndicatorQuadratic.tag: lambda cfg, n, xstar, rng: make_lower_bound_instance(
+        LowerBoundSpec(d=cfg.d, n=n, k=max(1, n // 2), v=xstar, H=cfg.H)
+    ),
+    SmoothedHingeMargin.tag: lambda cfg, n, xstar, rng: make_margin_classification(
+        cfg.d, n, cfg.margin, rng
+    ),
+}
+
+
 def build_instance(cfg: ExperimentConfig, n: int, rng) -> Instance:
     xstar = np.zeros(cfg.d)
     xstar[0] = cfg.xstar_offset
-    if cfg.family == "quadratic-anchor":
-        if cfg.noise_std > 0:
-            return make_noisy_least_squares(
-                cfg.d, n, xstar, cfg.H, cfg.noise_std, rng, radius=cfg.radius
-            )
-        return make_noiseless_least_squares(cfg.d, n, xstar, cfg.H, rng, radius=cfg.radius)
-    if cfg.family == "indicator-quadratic":
-        return make_lower_bound_instance(
-            LowerBoundSpec(d=cfg.d, n=n, k=max(1, n // 2), v=xstar, H=cfg.H)
-        )
-    return make_margin_classification(cfg.d, n, cfg.margin, rng)
+    return _INSTANCE_BUILDERS[cfg.family](cfg, n, xstar, rng)
 
 
 def resolve_schedule(cfg: ExperimentConfig, inst: Instance, n: int) -> Schedule:
@@ -326,8 +325,8 @@ def _run_solver(cfg: ExperimentConfig, inst: Instance, n: int, gen):
     if eta is None:
         eta = growth_step_size(inst.domain.diameter, L, n, beta, cfg.d, budget)
     result = lipschitz_wrap(localization_erm, inst, L, x0, eta, budget, icfg, gen)
-    k = max(1, math.ceil(math.log(n)))
-    return result, (k, n // k, beta)
+    lo, hi = result.trace.epochs[0].samples
+    return result, (len(result.trace.epochs), hi - lo, beta)
 
 
 def _sweep_cell(cfg: ExperimentConfig, seed_base: int, n: int, seed: int) -> dict:
@@ -443,21 +442,26 @@ def fit_rate(rows: list[dict]) -> tuple[RateFit, RateFit]:
     """Fit both rate models to per-n median excess risk.
 
     Medians, not means: a few bad seeds otherwise drag the slope.
-    Returns (fit against n, fit against ln n). Needs at least 4 distinct
-    n values, all with strictly positive medians.
+    Returns (fit against n, fit against ln n). Needs ``n`` and
+    ``excess_risk`` in every row and at least 4 distinct n values, all
+    with finite, strictly positive medians.
     """
     groups: dict[int, list[float]] = {}
     for row in rows:
-        groups.setdefault(int(row["n"]), []).append(float(row["excess_risk"]))
+        try:
+            n, risk = int(row["n"]), float(row["excess_risk"])
+        except KeyError as exc:
+            raise ValueError(f"sweep rows have no {exc.args[0]!r} column") from exc
+        groups.setdefault(n, []).append(risk)
     if len(groups) < 4:
         raise DegenerateFitError(
             f"need at least 4 distinct n values to fit a rate, got {len(groups)}"
         )
     ns = np.array(sorted(groups), dtype=np.float64)
     medians = np.array([np.median(groups[int(n)]) for n in ns])
-    if not np.all(medians > 0):
-        bad = [int(n) for n, med in zip(ns, medians) if med <= 0]
-        raise DegenerateFitError(f"non-positive median excess risk at n = {bad}")
+    bad = [int(n) for n, med in zip(ns, medians) if not 0 < med < math.inf]
+    if bad:
+        raise DegenerateFitError(f"non-positive or non-finite median excess risk at n = {bad}")
     y = np.log(medians)
     return _fit_line(ns, y, LINEAR_IN_N), _fit_line(np.log(ns), y, LINEAR_IN_LOG_N)
 

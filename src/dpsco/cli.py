@@ -3,8 +3,9 @@
 Subcommands: sweep (seeded experiment grid to CSV), fit (rate models on
 a sweep CSV), audit (empirical epsilon estimate with a negative
 control), oracles (hard-instance check battery), complexity (sample
-size calculator). Exit codes: 0 success, 1 a suite ran and failed,
-2 configuration or input error.
+size calculator). Each subcommand is offered only the options it reads,
+so argparse rejects any other. Exit codes: 0 success, 1 a suite ran and
+failed, 2 configuration or input error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .bench import (
-    DegenerateFitError,
+    coerce_mapping,
     fit_rate,
     load_config,
     read_rows_csv,
@@ -28,7 +29,7 @@ from .mechanisms import InconclusiveAuditError, RngStream
 from .problems import PrivacyBudget
 
 _AUDIT_KEYS = {"eps": float, "n": int, "trials": int, "threshold": float}
-_COMPLEXITY_KEYS = {"alpha": float, "rho": float, "d": int, "eps": float, "delta": float}
+_COMPLEXITY_DEFAULTS = {"alpha": 0.1, "rho": 2.0, "d": 1, "eps": 1.0, "delta": 0.0}
 
 
 def _parse_set(pairs: list[str]) -> dict[str, str]:
@@ -41,18 +42,6 @@ def _parse_set(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _coerce(overrides: dict[str, str], allowed: dict[str, type]) -> dict:
-    out = {}
-    for key, raw in overrides.items():
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r}; valid keys: {sorted(allowed)}")
-        try:
-            out[key] = allowed[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    return out
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -61,21 +50,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_sweep(args, overrides: dict[str, str]) -> int:
-    cfg = load_config(args.config, overrides)
+def _cmd_sweep(args) -> int:
+    cfg = load_config(args.config, _parse_set(args.overrides))
     rows = run_sweep(cfg, seed_base=args.seed_base)
-    out = args.out if args.out is not None else cfg.out
-    if out is not None:
-        write_rows_csv(rows, out)
-        print(f"wrote {len(rows)} rows to {out}")
+    if args.out is not None:
+        write_rows_csv(rows, args.out)
+        print(f"wrote {len(rows)} rows to {args.out}")
     else:
         sys.stdout.write(rows_to_csv(rows))
     return 0
 
 
-def _cmd_fit(args, overrides: dict[str, str]) -> int:
-    if overrides:
-        raise ValueError("fit takes no --set overrides; pass the CSV path")
+def _cmd_fit(args) -> int:
     linear, logn = fit_rate(read_rows_csv(args.csv))
     lines = [
         f"{fit.model} slope={fit.slope!r} intercept={fit.intercept!r} "
@@ -97,8 +83,8 @@ def _audit_line(tag: str, outcome) -> str:
     )
 
 
-def _cmd_audit(args, overrides: dict[str, str]) -> int:
-    params = _coerce(overrides, _AUDIT_KEYS)
+def _cmd_audit(args) -> int:
+    params = coerce_mapping(_parse_set(args.overrides), _AUDIT_KEYS)
     calibrated = run_audit(
         **params, control=False, rng=RngStream(args.seed_base, stream=0)
     )
@@ -110,9 +96,7 @@ def _cmd_audit(args, overrides: dict[str, str]) -> int:
     return 0 if calibrated.passed and control.passed else 1
 
 
-def _cmd_oracles(args, overrides: dict[str, str]) -> int:
-    if overrides:
-        raise ValueError("oracles takes no --set overrides")
+def _cmd_oracles(args) -> int:
     lines = run_oracles(seed=args.seed_base)
     text = []
     for line in lines:
@@ -125,44 +109,55 @@ def _cmd_oracles(args, overrides: dict[str, str]) -> int:
     return 0 if all(line.passed for line in lines) else 1
 
 
-def _cmd_complexity(args, overrides: dict[str, str]) -> int:
-    params = {"alpha": 0.1, "rho": 2.0, "d": 1, "eps": 1.0, "delta": 0.0}
-    params.update(_coerce(overrides, _COMPLEXITY_KEYS))
+def _cmd_complexity(args) -> int:
+    types = {key: type(value) for key, value in _COMPLEXITY_DEFAULTS.items()}
+    params = {**_COMPLEXITY_DEFAULTS, **coerce_mapping(_parse_set(args.overrides), types)}
     samples = sample_complexity(
         params["alpha"], params["rho"], params["d"],
         PrivacyBudget(params["eps"], params["delta"]),
     )
-    lines = [f"{key}={params[key]!r}" for key in ("alpha", "rho", "d", "eps", "delta")]
+    lines = [f"{key}={value!r}" for key, value in params.items()]
     lines.append(f"samples={samples!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
+_ARGUMENTS = {
+    "csv": dict(metavar="CSV", help="CSV produced by sweep"),
+    "--config": dict(metavar="PATH", help="key=value config file"),
+    "--out": dict(metavar="PATH", help="write output here instead of stdout"),
+    "--seed-base": dict(type=int, default=0, metavar="U64",
+                        help="base seed for all random streams"),
+    "--set": dict(dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                  help="override a config key (repeatable)"),
+}
+
+# subcommand -> (handler, the arguments it reads, help)
+_COMMANDS = {
+    "sweep": (_cmd_sweep, ("--config", "--out", "--seed-base", "--set"),
+              "run the configured (n, seed) grid and emit CSV"),
+    "fit": (_cmd_fit, ("csv", "--out"), "fit both rate models to a sweep CSV"),
+    "audit": (_cmd_audit, ("--out", "--seed-base", "--set"),
+              "empirical epsilon estimate plus miscalibrated control"),
+    "oracles": (_cmd_oracles, ("--out", "--seed-base"),
+                "run the hard-instance oracle battery"),
+    "complexity": (_cmd_complexity, ("--out", "--set"),
+                   "sample count for target excess alpha under rho-growth"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value config file")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--seed-base", type=int, default=0, metavar="U64",
-                        help="base seed for all random streams")
-    common.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config key (repeatable)")
     parser = argparse.ArgumentParser(
         prog="dpsco",
         description="Private convex optimization benchmarks: sweeps, rate fits, "
                     "epsilon audits, and hard-instance oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sweep", parents=[common],
-                   help="run the configured (n, seed) grid and emit CSV")
-    fit_p = sub.add_parser("fit", parents=[common],
-                           help="fit both rate models to a sweep CSV")
-    fit_p.add_argument("csv", metavar="CSV", help="CSV produced by sweep")
-    sub.add_parser("audit", parents=[common],
-                   help="empirical epsilon estimate plus miscalibrated control")
-    sub.add_parser("oracles", parents=[common],
-                   help="run the hard-instance oracle battery")
-    sub.add_parser("complexity", parents=[common],
-                   help="sample count for target excess alpha under rho-growth")
+    for name, (handler, arguments, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
+        for arg in arguments:
+            cmd.add_argument(arg, **_ARGUMENTS[arg])
     return parser
 
 
@@ -170,16 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = _parse_set(args.overrides)
-        if args.command == "sweep":
-            return _cmd_sweep(args, overrides)
-        if args.command == "fit":
-            return _cmd_fit(args, overrides)
-        if args.command == "audit":
-            return _cmd_audit(args, overrides)
-        if args.command == "oracles":
-            return _cmd_oracles(args, overrides)
-        return _cmd_complexity(args, overrides)
+        return args.handler(args)
     except ScheduleInfeasibleError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print(

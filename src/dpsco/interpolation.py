@@ -390,9 +390,15 @@ def default_schedule(
 
     Raises ScheduleInfeasibleError when the rule's block exceeds n; the
     error carries the raw block size and the largest feasible
-    constant_scale (the rule is linear in the scale).
+    constant_scale (the rule is linear in the scale). Raises ValueError
+    when the rule's block size is not finite (an infinite mu or scale).
     """
     raw = schedule_block_size(n, constants, d, budget, mu, constant_scale)
+    if not math.isfinite(raw):
+        raise ValueError(
+            f"block-size rule gives a non-finite block size ({raw}) at n = {n}; "
+            f"check mu = {mu} and constant_scale = {constant_scale}"
+        )
     m = max(2, math.ceil(raw))
     if m > n:
         feasible = constant_scale * n / raw

@@ -197,7 +197,8 @@ class SmoothedHingeMargin:
 
 LossFamily = QuadraticAnchor | IndicatorQuadratic | SmoothedHingeMargin
 
-FAMILY_TAGS = {cls: cls.tag for cls in (QuadraticAnchor, IndicatorQuadratic, SmoothedHingeMargin)}
+# tag -> class: the one registry of loss families (text format, sweep ids)
+FAMILIES = {cls.tag: cls for cls in (QuadraticAnchor, IndicatorQuadratic, SmoothedHingeMargin)}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Ball, Vector, as_point, project_onto_ball
-from .losses import FAMILY_TAGS, LossFamily, batch_gradients, batch_values
+from .losses import FAMILIES, LossFamily, batch_gradients, batch_values
 
 
 class UnsupportedFamilyError(ValueError):
@@ -170,7 +170,7 @@ class Instance:
     optimum: Optimum | None = None
 
     def __post_init__(self):
-        if type(self.family) not in FAMILY_TAGS:
+        if type(self.family) not in FAMILIES.values():
             raise ValueError(f"unknown loss family {self.family!r}")
         if self.dataset.d != self.domain.d:
             raise ValueError(
@@ -316,8 +316,6 @@ class RunTrace:
 
 # -- text serialization ------------------------------------------------------
 
-_TAG_TO_FAMILY = {cls.tag: cls for cls in FAMILY_TAGS}
-
 
 def _fmt(values) -> str:
     return " ".join(repr(float(v)) for v in values)
@@ -362,11 +360,11 @@ def instance_from_text(text: str) -> Instance:
 
     lines.pop(0)
     tag = take("family")[0]
-    if tag not in _TAG_TO_FAMILY:
+    if tag not in FAMILIES:
         raise ValueError(f"unknown family tag {tag!r}")
     params = [float(v) for v in take("params")]
     try:
-        family = _TAG_TO_FAMILY[tag](*params)
+        family = FAMILIES[tag](*params)
     except TypeError as exc:
         raise ValueError(f"bad params for family {tag!r}: {exc}") from exc
     cv = [float(v) for v in take("constants")]

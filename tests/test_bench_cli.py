@@ -1,8 +1,10 @@
 """Benchmark harness: config parsing, sweeps, rate fits, audit, CLI."""
 
+import dataclasses
 import importlib.metadata
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -28,7 +30,10 @@ from dpsco.bench import (
     write_rows_csv,
 )
 from dpsco.cli import main
+from dpsco.losses import FAMILIES
 from dpsco.mechanisms import RngStream
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # ------------------------------------------------------------ configuration
 
@@ -86,8 +91,11 @@ def test_config_from_mapping():
     assert cfg.solver == "adaptive"
     assert cfg.n_grid == (64, 128)
     assert cfg.beta is None and cfg.m == 8 and cfg.wall_clock is True
+    assert config_from_mapping({"T": "none"}).T is None
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_mapping({"stepsize": "1.0"})
+    with pytest.raises(ValueError, match="unknown config key 'out'"):
+        config_from_mapping({"out": "sweep.csv"})  # the output path is --out
     with pytest.raises(ValueError, match="needs a value"):
         config_from_mapping({"eps": "none"})
     with pytest.raises(ValueError, match="config key 'seeds'"):
@@ -104,6 +112,12 @@ def test_load_config_precedence(tmp_path):
     assert cfg.d == 4  # override beats the file
     assert cfg.solver == "interpolation"  # default fills the rest
     assert load_config(None, None) == ExperimentConfig()
+
+
+def test_readme_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"^Keys: (.*?)\. Unset", text, re.S | re.M).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 # ------------------------------------------------------------------ sweeps
@@ -132,14 +146,13 @@ def test_sweep_deterministic_and_parallel_invariant():
 
 
 def test_sweep_dispatches_every_solver_and_family():
+    # every registered family must have a sweep builder
     combos = [
-        ("localization-erm", "quadratic-anchor", {}),
         ("epoch-growth", "quadratic-anchor", {"noise_std": 0.5, "radius": 1.0}),
         ("interpolation", "quadratic-anchor", {"m": 8}),
         ("interpolation", "indicator-quadratic", {"m": 8}),
         ("adaptive", "quadratic-anchor", {"m": 8}),
-        ("localization-erm", "smoothed-hinge-margin", {}),
-    ]
+    ] + [("localization-erm", family, {}) for family in FAMILIES]
     for solver, family, extra in combos:
         cfg = ExperimentConfig(solver=solver, family=family, n_grid=(64,), seeds=1, **extra)
         row = run_sweep(cfg, seed_base=3)[0]
@@ -207,6 +220,14 @@ def test_fit_rate_degenerate_inputs():
         fit_rate(_rows((100, 200, 300), lambda n: 1.0 / n))
     with pytest.raises(DegenerateFitError, match="non-positive"):
         fit_rate(_rows((100, 200, 300, 400), lambda n: 0.0, seeds=1))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DegenerateFitError, match=r"non-finite .* at n = \[300\]"):
+            fit_rate(_rows((100, 200, 300, 400), lambda n: bad if n == 300 else 1.0 / n))
+    for column in ("n", "excess_risk"):
+        rows = [{k: v for k, v in row.items() if k != column}
+                for row in _rows((100, 200, 300, 400), lambda n: 1.0 / n)]
+        with pytest.raises(ValueError, match=f"no '{column}' column"):
+            fit_rate(rows)
 
 
 # -------------------------------------------------------------- audit runs
@@ -302,6 +323,42 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
     assert main(["complexity", "--set", "alpha=abc"]) == 2
     capsys.readouterr()
+    no_risk = tmp_path / "no_risk.csv"
+    no_risk.write_text("n,seed\n64,0\n128,0\n256,0\n512,0\n", encoding="utf-8")
+    assert main(["fit", str(no_risk)]) == 2
+    assert "no 'excess_risk' column" in capsys.readouterr().err
+    inf_risk = tmp_path / "inf_risk.csv"
+    inf_risk.write_text("n,excess_risk\n64,0.5\n128,inf\n256,0.1\n512,0.05\n",
+                        encoding="utf-8")
+    assert main(["fit", str(inf_risk)]) == 2
+    assert "at n = [128]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--config", "audit.cfg"],
+        ["complexity", "--config", "complexity.cfg"],
+        ["fit", "--config", "fit.cfg", "sweep.csv"],
+        ["oracles", "--config", "oracles.cfg"],
+        ["fit", "--seed-base", "1", "sweep.csv"],
+        ["complexity", "--seed-base", "1"],
+        ["fit", "--set", "eps=0", "sweep.csv"],
+        ["oracles", "--set", "eps=0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["constant_scale=inf", "constant_scale=1e308", "mu=inf"])
+def test_cli_non_finite_block_size_is_a_config_error(override, capsys):
+    assert main(["sweep", "--set", override]) == 2
+    assert capsys.readouterr().err.startswith("config error: block-size rule gives a non-finite")
 
 
 @pytest.mark.parametrize(
