@@ -11,6 +11,7 @@ from .base_solvers import (
     ConvergenceError,
     InnerSolveConfig,
     SolverResult,
+    default_inner_epochs,
     epoch_growth_solver,
     growth_step_size,
     lipschitz_wrap,
@@ -63,7 +64,6 @@ from .interpolation import (
     ScheduleInfeasibleError,
     ShrinkFormulaParams,
     adaptive_solver,
-    default_inner_epochs,
     default_schedule,
     interpolation_localization,
     interpolation_width,

@@ -1,34 +1,43 @@
-"""Core private solvers.
+"""Core private solvers: run plans and the one executor that walks them.
 
-Three layers, innermost first:
+A run is a plan fixed before any sample is read: a tree whose leaves are
+noisy releases. Each release's sample span, ball radius, clip level,
+step and noise scale follow from n, the schedule, the budget and the
+declared constants alone, never from the iterates or the noise drawn.
+``_execute`` walks the tree. Each step recentres a ball on the current
+iterate (or keeps the enclosing domain), then either solves its phase
+and adds noise or runs its nested plan inside that ball and projects
+back onto it, and writes its ``EpochRecord``. Innermost first:
 
-* ``solve_regularized_erm``: minimize the span-average loss plus
-  ``(1/(eta n0)) ||x - center||^2`` over a ball. Closed form whenever the
-  losses are isotropic quadratics and no gradient inside the ball can
-  exceed the clip level; projected gradient descent otherwise.
-* ``localization_erm``: k = ceil(ln n) phases on disjoint slices. Phase i
-  shrinks the step to eta_i = 2^{-4i} eta, solves the regularized ERM in
-  a ball of radius 2 L eta_i n0 around the previous iterate, and releases
-  it with per-coordinate noise of scale 4 L eta_i sqrt(d)/eps (Laplace
-  for pure DP) or 4 L eta_i sqrt(ln(1/delta))/eps (Gaussian otherwise).
-* ``epoch_growth_solver``: T epochs on disjoint blocks of n0 = n/T
-  samples; epoch i runs ``localization_erm`` inside a ball of radius
-  r_i = 2^{-i} r0 around the current iterate with step eta_i = 2^{-i}
-  eta0, where r0 is the domain diameter and
+* ``solve_regularized_erm``: one phase. Minimize the span-average loss
+  plus ``(1/(eta n0)) ||x - center||^2`` over a ball. Closed form whenever
+  the losses are isotropic quadratics and no gradient inside the ball
+  can exceed the clip level; projected gradient descent otherwise.
+* ``erm_plan`` (``localization_erm``): k = ceil(ln n) releases on
+  disjoint slices. Release i shrinks the step to eta_i = 2^{-4i} eta,
+  solves the regularized ERM in a ball of radius 2 L eta_i n0 around the
+  previous iterate, and adds per-coordinate noise of scale
+  4 L eta_i sqrt(d)/eps (Laplace for pure DP) or
+  4 L eta_i sqrt(ln(1/delta))/eps (Gaussian otherwise).
+* ``growth_plan`` (``epoch_growth_solver``): T epochs on disjoint blocks
+  of n0 = n/T samples; epoch i runs an ``erm_plan`` inside a ball of
+  radius r_i = 2^{-i} r0 around the current iterate with step
+  eta_i = 2^{-i} eta0, where r0 is the domain diameter and
 
       eta0 = (r0 / 2L) min{ 1/sqrt(n0 ln n0 ln(1/beta)),
                             eps / (d ln(1/beta)) }
 
   (the d in the second branch becomes sqrt(d ln(1/delta)) when delta>0).
 
-Every sample index is consumed by exactly one phase of one epoch, so a
-run is private at its stated budget by parallel composition. Gradients
-are clipped at the stated Lipschitz level only under ``lipschitz_wrap``
+Every sample index is consumed by exactly one release, so a run is
+private at its stated budget by parallel composition. Gradients are
+clipped at the stated Lipschitz level only under ``lipschitz_wrap``
 (``extension=True``); an unwrapped run evaluates raw gradients but still
 uses the stated level for radii and noise. Intermediate noisy iterates
-are used as-is; only the returned point is projected onto the input
-domain (post-processing, so privacy is unaffected). An infinite budget
-makes every noise scale zero and the draw is skipped.
+are used as-is; only the end of a nested plan is projected onto its
+ball, and the returned point onto the input domain (post-processing, so
+privacy is unaffected). An infinite budget makes every noise scale zero
+and the draw is skipped.
 """
 
 from __future__ import annotations
@@ -189,84 +198,79 @@ def solve_regularized_erm(
     )
 
 
-def localization_erm(
-    inst: Instance,
-    x0,
-    eta: float,
-    budget: PrivacyBudget,
-    cfg: InnerSolveConfig,
-    rng,
-    *,
-    clipL: float,
-    span: tuple[int, int] | None = None,
-    domain: Ball | None = None,
-    extension: bool = False,
-) -> SolverResult:
-    """Localized private ERM: shrinking phases plus output perturbation.
+@dataclass(frozen=True)
+class Step:
+    """One entry of a run plan.
 
-    k = max(1, ceil(ln n)) phases over disjoint slices of n0 = n // k
-    samples (leftovers dropped and recorded in the trace). Noise scales
-    in the trace are exactly the stated formulas at the given clip level.
+    A release (``sub`` None) solves the regularized ERM on ``span`` with
+    step ``eta`` in a ball of ``radius`` around the current iterate and
+    adds noise of scale ``sigma`` calibrated at clip level ``clip``.
+    Otherwise the step runs the nested plan ``sub`` in that ball.
+    ``radius`` None keeps the enclosing domain; ``diameter`` is what the
+    step's EpochRecord reports, and None writes no record.
     """
-    x = as_point(x0, inst.d)
+
+    span: tuple[int, int]
+    radius: float | None
+    diameter: float | None
+    clip: float
+    sigma: float
+    eta: float = 0.0
+    sub: Plan | None = None
+
+
+@dataclass(frozen=True)
+class Plan:
+    """Steps in run order, samples the run leaves unused, trace note."""
+
+    steps: tuple[Step, ...]
+    dropped: int = 0
+    note: str = ""
+
+
+def _nested(span: tuple[int, int], radius, diameter, clip: float, sub: Plan) -> Step:
+    """A step running ``sub``; its record reports the last release's noise."""
+    sigma = sub.steps[-1].sigma if sub.steps else 0.0
+    return Step(span, radius, diameter, clip, sigma, sub=sub)
+
+
+def _check_clip(clipL: float) -> None:
     if not (clipL > 0 and math.isfinite(clipL)):
         raise ValueError(f"clip level must be a positive real, got {clipL}")
+
+
+def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: PrivacyBudget) -> Plan:
+    """k = max(1, ceil(ln n)) releases over disjoint slices of n0 = n // k
+    samples of [lo, hi); the leftovers are dropped."""
+    _check_clip(clipL)
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be a positive real, got {eta}")
-    lo, hi = _resolve_span(inst, span)
     n_span = hi - lo
-    out_domain = inst.domain if domain is None else domain
     k = max(1, math.ceil(math.log(n_span))) if n_span > 1 else 1
     n0 = n_span // k
-    if n0 < 1:
-        raise ValueError(f"{n_span} samples cannot feed {k} localization phases")
-    dropped = n_span - k * n0
-    clip = clipL if extension else math.inf
-    gen = as_generator(rng)
-    gaussian = budget.delta > 0
-
-    records: list[EpochRecord] = []
-    max_consumed = 0.0
+    steps = []
     for i in range(1, k + 1):
         eta_i = eta * 2.0 ** (-4 * i)
-        radius = 2.0 * clipL * eta_i * n0
-        ball = Ball(x, radius)
-        s_lo = lo + (i - 1) * n0
-        s_hi = s_lo + n0
-        if gaussian:
+        span = (lo + (i - 1) * n0, lo + i * n0)
+        if eta_i == 0.0 or math.isinf(2.0 / (eta_i * n0)):
+            raise ValueError(
+                f"release {span}: step {eta_i!r} overflows the proximal coefficient "
+                "2/(eta n0); the step or the schedule's constant_scale is too small"
+            )
+        if budget.delta > 0:
             sigma = approx_noise_scale(clipL, eta_i, budget.eps, budget.delta)
         else:
-            sigma = pure_noise_scale(clipL, eta_i, inst.d, budget.eps)
-        solved, consumed = solve_regularized_erm(
-            inst, x, eta_i, ball, cfg, span=(s_lo, s_hi), clip=clip,
-            tolerance=sigma / 100.0 if sigma > 0 else None,
-        )
-        max_consumed = max(max_consumed, consumed)
-        if sigma > 0:
-            noise = (
-                gaussian_vector(sigma, inst.d, gen)
-                if gaussian
-                else laplace_vector(sigma, inst.d, gen)
-            )
-            x = solved + noise
-        else:
-            x = solved
-        records.append(
-            EpochRecord(
-                index=i,
-                diameter=2.0 * radius,
-                lipschitz=clipL,
-                iterate=x,
-                noise_scale=sigma,
-                samples=(s_lo, s_hi),
-            )
-        )
-    trace = RunTrace(
-        epochs=tuple(records), dropped=dropped, max_consumed_gradient=max_consumed
-    )
-    return SolverResult(
-        point=project_onto_ball(x, out_domain), trace=trace, budget_spent=budget
-    )
+            sigma = pure_noise_scale(clipL, eta_i, d, budget.eps)
+        radius = 2.0 * clipL * eta_i * n0
+        steps.append(Step(span, radius, 2.0 * radius, clipL, sigma, eta_i))
+    return Plan(tuple(steps), n_span - k * n0)
+
+
+def default_inner_epochs(m: int, kappa_floor: float) -> int:
+    """Epoch count for the inner growth solver on a block of m samples."""
+    if m < 2:
+        return 1
+    return max(1, min(m, math.ceil(2.0 * math.log(m) / (kappa_floor - 1.0))))
 
 
 def growth_step_size(
@@ -286,6 +290,97 @@ def growth_step_size(
     return (r0 / (2.0 * clipL)) * min(stat, priv)
 
 
+def growth_plan(
+    lo: int, hi: int, T: int | None, beta: float, clipL: float, radius: float,
+    d: int, budget: PrivacyBudget, kappa_floor: float = 2.0,
+) -> Plan:
+    """T epochs (``default_inner_epochs`` when None) on blocks of
+    n0 = n // T samples of [lo, hi), in a domain of the given radius."""
+    n_span = hi - lo
+    if T is None:
+        T = default_inner_epochs(n_span, kappa_floor)
+    if not (isinstance(T, int) and T >= 1):
+        raise ValueError(f"T must be a positive integer, got {T}")
+    _check_clip(clipL)
+    n0 = n_span // T
+    if n0 < 1:
+        raise ValueError(f"{n_span} samples cannot feed {T} epochs")
+    r0 = 2.0 * radius
+    if r0 == 0.0:
+        return Plan((), n_span, "degenerate-domain")
+    eta0 = growth_step_size(r0, clipL, n0, beta, d, budget)
+    steps = []
+    for i in range(T):
+        r_i = r0 * 2.0 ** (-i)
+        block = (lo + i * n0, lo + (i + 1) * n0)
+        sub = erm_plan(*block, eta0 * 2.0 ** (-i), clipL, d, budget)
+        steps.append(_nested(block, r_i, 2.0 * r_i, clipL, sub))
+    return Plan(tuple(steps), n_span - T * n0)
+
+
+def _execute(inst, plan, x, domain, budget, cfg, gen, extension):
+    """Walk ``plan`` from x inside ``domain``: the one place a phase is
+    solved, noised and recorded. Returns the end point projected onto
+    the domain (its centre for an empty plan) and the run's trace."""
+    if not plan.steps:
+        return domain.center.copy(), RunTrace(epochs=(), dropped=plan.dropped, note=plan.note)
+    noise = gaussian_vector if budget.delta > 0 else laplace_vector
+    records, children, max_consumed = [], [], 0.0
+    for index, step in enumerate(plan.steps, start=1):
+        ball = domain if step.radius is None else Ball(x, step.radius)
+        if step.sub is None:
+            x, consumed = solve_regularized_erm(
+                inst, x, step.eta, ball, cfg, span=step.span,
+                clip=step.clip if extension else math.inf,
+                tolerance=step.sigma / 100.0 if step.sigma > 0 else None,
+            )
+            if step.sigma > 0:
+                x = x + noise(step.sigma, inst.d, gen)
+        else:
+            x, child = _execute(inst, step.sub, x, ball, budget, cfg, gen, extension)
+            children.append(child)
+            consumed = child.max_consumed_gradient
+        max_consumed = max(max_consumed, consumed)
+        if step.diameter is not None:
+            records.append(
+                EpochRecord(index, step.diameter, step.clip, x, step.sigma, step.span)
+            )
+    trace = RunTrace(tuple(records), plan.dropped, tuple(children), max_consumed, plan.note)
+    return project_onto_ball(x, domain), trace
+
+
+def _run(inst, plan, x, domain, budget, cfg, rng, extension) -> SolverResult:
+    """Execute a top-level plan from x inside ``domain`` (None: the instance's)."""
+    domain = inst.domain if domain is None else domain
+    point, trace = _execute(inst, plan, x, domain, budget, cfg, as_generator(rng), extension)
+    return SolverResult(point=point, trace=trace, budget_spent=budget)
+
+
+def localization_erm(
+    inst: Instance,
+    x0,
+    eta: float,
+    budget: PrivacyBudget,
+    cfg: InnerSolveConfig,
+    rng,
+    *,
+    clipL: float,
+    span: tuple[int, int] | None = None,
+    domain: Ball | None = None,
+    extension: bool = False,
+) -> SolverResult:
+    """Localized private ERM: shrinking phases plus output perturbation.
+
+    Runs ``erm_plan``: k = max(1, ceil(ln n)) phases over disjoint slices
+    of n0 = n // k samples (leftovers dropped and recorded in the trace).
+    Noise scales in the trace are exactly the stated formulas at the
+    given clip level.
+    """
+    x = as_point(x0, inst.d)
+    plan = erm_plan(*_resolve_span(inst, span), eta, clipL, inst.d, budget)
+    return _run(inst, plan, x, domain, budget, cfg, rng, extension)
+
+
 def epoch_growth_solver(
     inst: Instance,
     x0,
@@ -302,64 +397,16 @@ def epoch_growth_solver(
 ) -> SolverResult:
     """Epoch solver for growth instances: halving radii and steps.
 
-    Epoch i (0-based) runs ``localization_erm`` on its own block of
+    Runs ``growth_plan``: epoch i (0-based) localizes on its own block of
     n0 = n // T samples, confined to a ball of radius r_i = 2^{-i} r0
     around the current iterate with step eta_i = 2^{-i} eta0.
     """
     x = as_point(x0, inst.d)
-    if not (isinstance(T, int) and T >= 1):
-        raise ValueError(f"T must be a positive integer, got {T}")
-    if not (clipL > 0 and math.isfinite(clipL)):
-        raise ValueError(f"clip level must be a positive real, got {clipL}")
-    lo, hi = _resolve_span(inst, span)
-    n_span = hi - lo
-    n0 = n_span // T
-    if n0 < 1:
-        raise ValueError(f"{n_span} samples cannot feed {T} epochs")
-    out_domain = inst.domain if domain is None else domain
-    r0 = out_domain.diameter
-    if r0 == 0.0:
-        trace = RunTrace(epochs=(), dropped=n_span, note="degenerate-domain")
-        return SolverResult(
-            point=out_domain.center.copy(), trace=trace, budget_spent=budget
-        )
-    eta0 = growth_step_size(r0, clipL, n0, beta, inst.d, budget)
-    gen = as_generator(rng)
-
-    records: list[EpochRecord] = []
-    children: list[RunTrace] = []
-    max_consumed = 0.0
-    for i in range(T):
-        r_i = r0 * 2.0 ** (-i)
-        eta_i = eta0 * 2.0 ** (-i)
-        ball = Ball(x, r_i)
-        block = (lo + i * n0, lo + (i + 1) * n0)
-        inner = localization_erm(
-            inst, x, eta_i, budget, cfg, gen,
-            clipL=clipL, span=block, domain=ball, extension=extension,
-        )
-        x = inner.point
-        children.append(inner.trace)
-        max_consumed = max(max_consumed, inner.trace.max_consumed_gradient)
-        records.append(
-            EpochRecord(
-                index=i + 1,
-                diameter=2.0 * r_i,
-                lipschitz=clipL,
-                iterate=x,
-                noise_scale=inner.trace.epochs[-1].noise_scale,
-                samples=block,
-            )
-        )
-    trace = RunTrace(
-        epochs=tuple(records),
-        dropped=n_span - T * n0,
-        children=tuple(children),
-        max_consumed_gradient=max_consumed,
-    )
-    return SolverResult(
-        point=project_onto_ball(x, out_domain), trace=trace, budget_spent=budget
-    )
+    if T is None:  # the default epoch count is for nested runs only
+        raise ValueError("T must be a positive integer, got None")
+    radius = (inst.domain if domain is None else domain).radius
+    plan = growth_plan(*_resolve_span(inst, span), T, beta, clipL, radius, inst.d, budget)
+    return _run(inst, plan, x, domain, budget, cfg, rng, extension)
 
 
 def lipschitz_wrap(solver, inst: Instance, clipL: float, *args, **kwargs) -> SolverResult:
@@ -370,6 +417,5 @@ def lipschitz_wrap(solver, inst: Instance, clipL: float, *args, **kwargs) -> Sol
     unwrapped one; with a smaller clipL every consumed gradient norm is
     capped at clipL.
     """
-    if not (clipL > 0 and math.isfinite(clipL)):
-        raise ValueError(f"clip level must be a positive real, got {clipL}")
+    _check_clip(clipL)
     return solver(inst, *args, clipL=clipL, extension=True, **kwargs)

@@ -130,16 +130,15 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be a positive integer, got {self.seeds}")
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError(f"d must be a positive integer, got {self.d}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        # an infinite eps would silently drop every noise draw, and the
+        # generators compute with these values before any family sees them
+        for name in ("eps", "H", "margin"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if not self.H > 0:
-            raise ValueError(f"H must be positive, got {self.H}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.beta is not None and not 0 < self.beta < 1:

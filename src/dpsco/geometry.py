@@ -36,7 +36,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
+        # copy before freezing: the caller's array stays writeable
+        object.__setattr__(self, "center", as_point(self.center).copy())
         object.__setattr__(self, "radius", float(self.radius))
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ValueError(f"ball radius must be a nonnegative real, got {self.radius}")

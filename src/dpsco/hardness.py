@@ -56,7 +56,7 @@ class LowerBoundSpec:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
             raise ValueError(f"k must satisfy 1 <= k <= n, got {self.k}")
-        object.__setattr__(self, "v", as_point(self.v, self.d))
+        object.__setattr__(self, "v", as_point(self.v, self.d).copy())
         if not self.v.any():
             raise ValueError("v must be nonzero (the zero payload is the off state)")
         self.v.setflags(write=False)
@@ -144,8 +144,8 @@ def make_noisy_least_squares(
     """Least squares with anchors xstar + noise_std * N(0, I): no longer
     interpolating, but still H-growth around the anchor mean."""
     xstar = as_point(xstar, d)
-    if not noise_std > 0:
-        raise ValueError(f"noise_std must be positive, got {noise_std}")
+    if not 0 < noise_std < math.inf:
+        raise ValueError(f"noise_std must be positive and finite, got {noise_std}")
     gen = as_generator(rng)
     points = xstar[None, :] + noise_std * gen.standard_normal((n, d))
     mean = points.mean(axis=0)
@@ -175,8 +175,8 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     spare: moves of margin/2 along any feature direction keep every
     sample loss at zero.
     """
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     gen = as_generator(rng)
     direction = gen.standard_normal(d)
     direction /= np.linalg.norm(direction)

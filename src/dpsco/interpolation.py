@@ -1,8 +1,8 @@
 """Interpolation-regime localization: shrink rules, solvers, schedules.
 
-The driver loop runs T epochs over disjoint blocks of m samples. Epoch i
-solves privately inside the current ball (diameter D_i, clip level L_i),
-then shrinks:
+``localize_plan`` lays out T epochs over disjoint blocks of m samples.
+Epoch i runs a growth plan inside the current ball (diameter D_i, clip
+level L_i) and the ball is then recentred on its output and shrunk:
 
     D_{i+1} = min(D_i, shrink)        (never loosened)
     L_{i+1} = min(L_i, H * D_{i+1})   (same cap, mirrored)
@@ -15,7 +15,8 @@ For quadratic growth (kappa = 2) the shrink is
 with md = min(d, sqrt(d ln(1/delta))) (just d when delta = 0) and
 c = 256 * constant_scale. For kappa > 2 the same bracket is raised to
 the power 1/(kappa - 1) and c = 4 * 2^{12/kappa} * constant_scale, with
-md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min).
+md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min). None
+of this reads the data, so the whole run is planned before it starts.
 
 ``default_schedule`` picks (T, m) for a dataset by the block-size rule
 
@@ -25,14 +26,15 @@ md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min).
 
 where md = d for delta = 0 and sqrt(d) * ln(1/delta) otherwise. At
 bench scale the rule is usually infeasible at constant_scale = 1; the
-error says which scale would fit. ``adaptive_solver`` spends half the
-data on a growth run, computes the interpolation-width guess
+error says which scale would fit. ``adaptive_solver`` is a two-step
+plan: a growth run on half the data, then, with the interpolation-width
+guess
 
     D_int = constant_scale * 128 * (L / lambda)
             * ( sqrt(ln(2/beta)) ln^{3/2}(n) / sqrt(n)
                 + min(d, sqrt(d ln(1/delta))) ln(2/beta) ln(n) / (n eps) )
 
-(n the full dataset size), and localizes the second half inside the
+(n the full dataset size), a localization of the second half inside the
 ball of that diameter around the first phase's output, so its answer
 always lands in that ball.
 """
@@ -44,13 +46,16 @@ from dataclasses import dataclass, replace
 
 from .base_solvers import (
     InnerSolveConfig,
+    Plan,
     SolverResult,
-    epoch_growth_solver,
-    lipschitz_wrap,
+    _nested,
+    _resolve_span,
+    _run,
+    default_inner_epochs,
+    growth_plan,
 )
-from .geometry import Ball, as_point, project_onto_ball
-from .mechanisms import as_generator
-from .problems import EpochRecord, Instance, PrivacyBudget, RunTrace, Schedule
+from .geometry import Ball, as_point
+from .problems import Instance, PrivacyBudget, Schedule
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -119,40 +124,27 @@ def shrink_diameter(L_i: float, p: ShrinkFormulaParams) -> float:
     return p.c * bracket ** (1.0 / (p.kappa - 1.0))
 
 
-def default_inner_epochs(m: int, kappa_floor: float) -> int:
-    """Epoch count for the inner growth solver on a block of m samples."""
-    if m < 2:
-        return 1
-    return max(1, min(m, math.ceil(2.0 * math.log(m) / (kappa_floor - 1.0))))
-
-
-def _localize(
+def localize_plan(
     inst: Instance,
-    x0,
     schedule: Schedule,
     budget: PrivacyBudget,
-    cfg: InnerSolveConfig,
-    rng,
-    *,
     kappa: float,
-    domain: Ball | None,
-    lipschitz: float | None,
     span: tuple[int, int] | None,
+    radius: float,
+    lipschitz: float | None,
     inner_epochs: int | None,
-) -> SolverResult:
-    x = as_point(x0, inst.d)
+) -> Plan:
+    """T epochs on m-sample blocks of the span, each a clipped growth
+    plan in the current ball: first the domain of the given radius, then
+    a ball shrunk by the kappa rule around the previous epoch's output.
+    A shrink that is zero or not finite ends the plan early (noted)."""
     lam = inst.constants.growth
     if not lam > 0:
         raise ValueError("localization needs a positive growth coefficient")
-    lo = 0 if span is None else int(span[0])
-    hi = inst.n if span is None else int(span[1])
-    if not (0 <= lo < hi <= inst.n):
-        raise ValueError(f"span {span} out of range for {inst.n} samples")
-    n_span = hi - lo
+    lo, hi = _resolve_span(inst, span)
     T, m = schedule.T, schedule.m
-    if T * m > n_span:
-        raise ValueError(f"schedule needs T*m = {T * m} samples, span has {n_span}")
-    start_domain = inst.domain if domain is None else domain
+    if T * m > hi - lo:
+        raise ValueError(f"schedule needs T*m = {T * m} samples, span has {hi - lo}")
     if kappa == 2.0:
         c = 256.0 * schedule.constant_scale
     else:
@@ -161,46 +153,16 @@ def _localize(
         c=c, T=T, m=m, beta=schedule.beta, d=inst.d, budget=budget,
         growth=lam, kappa=kappa,
     )
-    beta_inner = schedule.beta / T
-    t_inner = (
-        default_inner_epochs(m, inst.constants.kappa_floor)
-        if inner_epochs is None
-        else inner_epochs
-    )
-    if not (isinstance(t_inner, int) and 1 <= t_inner <= m):
-        raise ValueError(f"inner epoch count must be an integer in [1, m], got {t_inner}")
-    gen = as_generator(rng)
-
-    D = start_domain.diameter
+    D = 2.0 * radius
     L = inst.constants.L if lipschitz is None else float(lipschitz)
-    if not (L > 0 and math.isfinite(L)):
-        raise ValueError(f"clip level must be a positive real, got {L}")
-    ball = start_domain
-    records: list[EpochRecord] = []
-    children: list[RunTrace] = []
-    max_consumed = 0.0
-    note = ""
+    steps, note = [], ""
     for i in range(1, T + 1):
         block = (lo + (i - 1) * m, lo + i * m)
-        inner = lipschitz_wrap(
-            epoch_growth_solver, inst, L, x, t_inner, beta_inner, budget, cfg, gen,
-            span=block, domain=ball,
+        sub = growth_plan(
+            *block, inner_epochs, schedule.beta / T, L, radius, inst.d, budget,
+            inst.constants.kappa_floor,
         )
-        x = inner.point
-        children.append(inner.trace)
-        max_consumed = max(max_consumed, inner.trace.max_consumed_gradient)
-        records.append(
-            EpochRecord(
-                index=i,
-                diameter=D,
-                lipschitz=L,
-                iterate=x,
-                noise_scale=(
-                    inner.trace.epochs[-1].noise_scale if inner.trace.epochs else 0.0
-                ),
-                samples=block,
-            )
-        )
+        steps.append(_nested(block, None if i == 1 else radius, D, L, sub))
         if i == T:
             break
         D_next = min(shrink_diameter(L, params), D)
@@ -209,17 +171,8 @@ def _localize(
             break
         D = D_next
         L = min(inst.constants.H * D, L)
-        ball = Ball(x, D / 2.0)
-    trace = RunTrace(
-        epochs=tuple(records),
-        dropped=n_span - T * m,
-        children=tuple(children),
-        max_consumed_gradient=max_consumed,
-        note=note,
-    )
-    return SolverResult(
-        point=project_onto_ball(x, start_domain), trace=trace, budget_spent=budget
-    )
+        radius = D / 2.0
+    return Plan(tuple(steps), hi - lo - T * m, note)
 
 
 def interpolation_localization(
@@ -237,17 +190,16 @@ def interpolation_localization(
 ) -> SolverResult:
     """Shrinking-ball solver for quadratic-growth interpolation instances.
 
-    Epoch i runs the clipped growth solver on its own m-sample block
-    inside the current ball, recenters the ball at the output, and
-    shrinks diameter and clip level by the quadratic-growth rule. A
-    shrink that underflows to zero ends the run early at the current
-    iterate (noted in the trace).
+    Runs ``localize_plan``: epoch i runs a clipped growth plan on its own
+    m-sample block inside the current ball, recenters the ball at the
+    output, and shrinks diameter and clip level by the quadratic-growth
+    rule. A shrink that underflows to zero ends the run early at the
+    current iterate (noted in the trace).
     """
-    return _localize(
-        inst, x0, schedule, budget, cfg, rng,
-        kappa=2.0, domain=domain, lipschitz=lipschitz, span=span,
-        inner_epochs=inner_epochs,
-    )
+    x = as_point(x0, inst.d)
+    radius = (inst.domain if domain is None else domain).radius
+    plan = localize_plan(inst, schedule, budget, 2.0, span, radius, lipschitz, inner_epochs)
+    return _run(inst, plan, x, domain, budget, cfg, rng, extension=True)
 
 
 def kappa_interpolation(
@@ -273,11 +225,10 @@ def kappa_interpolation(
     kappa = inst.constants.kappa
     if not kappa > 2.0:
         raise ValueError(f"kappa-growth localization needs kappa > 2, got {kappa}")
-    return _localize(
-        inst, x0, schedule, budget, cfg, rng,
-        kappa=kappa, domain=domain, lipschitz=lipschitz, span=span,
-        inner_epochs=inner_epochs,
-    )
+    x = as_point(x0, inst.d)
+    radius = (inst.domain if domain is None else domain).radius
+    plan = localize_plan(inst, schedule, budget, kappa, span, radius, lipschitz, inner_epochs)
+    return _run(inst, plan, x, domain, budget, cfg, rng, extension=True)
 
 
 def interpolation_width(
@@ -312,28 +263,21 @@ def adaptive_solver(
 ) -> SolverResult:
     """Half/half solver that hedges on whether interpolation holds.
 
-    Phase 1 runs the clipped growth solver on the first half of the
-    data. Phase 2 localizes the second half inside the ball of diameter
-    ``interpolation_width`` around phase 1's output; under interpolation
-    that ball traps the optimum with probability 1 - beta, and otherwise
-    the ball is tight enough that phase 2 cannot lose much more than a
-    constant factor. The failure budget beta is split evenly. The
+    A two-step plan. Phase 1 is a clipped growth run on the first half
+    of the data. Phase 2 localizes the second half inside the ball of
+    diameter ``interpolation_width`` around phase 1's output; under
+    interpolation that ball traps the optimum with probability 1 - beta,
+    and otherwise the ball is tight enough that phase 2 cannot lose much
+    more than a constant factor. The failure budget beta is split evenly. The
     returned point always lies in the phase 2 ball.
     """
     x = as_point(x0, inst.d)
     if inst.n < 2:
         raise ValueError("adaptive solver needs at least 2 samples")
-    half = inst.n // 2
-    beta = schedule.beta
-    gen = as_generator(rng)
-    t1 = (
-        default_inner_epochs(half, inst.constants.kappa_floor)
-        if inner_epochs is None
-        else inner_epochs
-    )
-    phase1 = lipschitz_wrap(
-        epoch_growth_solver, inst, inst.constants.L, x, t1, beta / 2.0, budget, cfg,
-        gen, span=(0, half), domain=inst.domain,
+    half, L, beta = inst.n // 2, inst.constants.L, schedule.beta
+    phase1 = growth_plan(
+        0, half, inner_epochs, beta / 2.0, L, inst.domain.radius, inst.d, budget,
+        inst.constants.kappa_floor,
     )
     d_int = interpolation_width(
         inst.n, inst.constants, inst.d, budget, beta, schedule.constant_scale
@@ -341,25 +285,18 @@ def adaptive_solver(
     # the trust region is the domain intersected with the d_int-ball; a
     # ball centered at the (in-domain) phase 1 point with radius capped
     # at the domain diameter contains that intersection
-    trust = Ball(phase1.point, min(d_int / 2.0, inst.domain.diameter))
-    phase2 = interpolation_localization(
-        inst, phase1.point, replace(schedule, beta=beta / 2.0), budget, cfg, gen,
-        domain=trust, lipschitz=inst.constants.L, span=(half, inst.n),
-        inner_epochs=inner_epochs,
+    trust = min(d_int / 2.0, inst.domain.diameter)
+    phase2 = localize_plan(
+        inst, replace(schedule, beta=beta / 2.0), budget, 2.0, (half, inst.n), trust, L,
+        inner_epochs,
     )
-    trace = RunTrace(
-        epochs=(),
-        children=(phase1.trace, phase2.trace),
-        max_consumed_gradient=max(
-            phase1.trace.max_consumed_gradient, phase2.trace.max_consumed_gradient
-        ),
-        note=f"adaptive: interpolation width {d_int!r}",
-    )
-    # post-processing: pull the iterate back into the declared domain;
-    # projection is 1-Lipschitz around the in-domain trust center, so
-    # the point also stays inside the phase 2 ball
-    final = project_onto_ball(phase2.point, inst.domain)
-    return SolverResult(point=final, trace=trace, budget_spent=budget)
+    steps = (_nested((0, half), None, None, L, phase1),
+             _nested((half, inst.n), trust, None, L, phase2))
+    plan = Plan(steps, note=f"adaptive: interpolation width {d_int!r}")
+    # the executor's last projection pulls the iterate back into the
+    # declared domain; projection is 1-Lipschitz around the in-domain
+    # trust center, so the point also stays inside the phase 2 ball
+    return _run(inst, plan, x, None, budget, cfg, rng, extension=True)
 
 
 def schedule_block_size(

@@ -58,7 +58,7 @@ class QuadraticAnchor:
 
     def __post_init__(self):
         if not (self.H > 0 and math.isfinite(self.H)):
-            raise ValueError(f"curvature H must be positive, got {self.H}")
+            raise ValueError(f"curvature H must be positive and finite, got {self.H}")
 
     def params(self) -> tuple[float, ...]:
         return (self.H,)
@@ -151,11 +151,11 @@ class SmoothedHingeMargin:
 
     def __post_init__(self):
         if not (self.margin > 0 and math.isfinite(self.margin)):
-            raise ValueError(f"margin must be positive, got {self.margin}")
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if self.tau is None:
             object.__setattr__(self, "tau", self.margin / 2.0)
         if not (0 < self.tau and math.isfinite(self.tau)):
-            raise ValueError(f"smoothing width tau must be positive, got {self.tau}")
+            raise ValueError(f"smoothing width tau must be positive and finite, got {self.tau}")
 
     def params(self) -> tuple[float, ...]:
         return (self.margin, self.tau)

@@ -131,12 +131,12 @@ class Optimum:
     offset: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "point", as_point(self.point))
+        object.__setattr__(self, "point", as_point(self.point).copy())
         self.point.setflags(write=False)
         if (self.normal is None) != (self.offset is None):
             raise ValueError("plane form needs both a normal and an offset")
         if self.normal is not None:
-            normal = as_point(self.normal, self.point.shape[0])
+            normal = as_point(self.normal, self.point.shape[0]).copy()
             if not normal.any():
                 raise ValueError("plane normal must be nonzero")
             normal.setflags(write=False)

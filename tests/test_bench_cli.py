@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,40 @@ def test_cli_infeasible_schedule_suggests_a_scale(capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "constant_scale <=" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, family",
+    [
+        ("eps", "inf", "quadratic-anchor"),
+        ("eps", "nan", "quadratic-anchor"),
+        ("H", "inf", "quadratic-anchor"),
+        ("noise_std", "inf", "quadratic-anchor"),
+        ("margin", "inf", "smoothed-hinge-margin"),
+    ],
+)
+def test_cli_non_finite_config_value_is_rejected_before_any_generator(key, value, family, capsys):
+    argv = ["sweep", "--set", "solver=localization-erm", "--set", f"family={family}",
+            "--set", "n_grid=64", "--set", "seeds=1", "--set", f"{key}={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert "and finite" in err
+
+
+def test_cli_rejects_an_overflowing_proximal_coefficient_before_the_run(capsys):
+    # tiny balls shrink the inner steps until 2/(eta n0) overflows; the
+    # plan refuses that release instead of solving with an infinite term
+    argv = ["sweep", "--set", "solver=adaptive", "--set", "n_grid=4096", "--set", "seeds=1",
+            "--set", "m=1024", "--set", "constant_scale=1e-300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"config error: release \(\d+, \d+\): step .* overflows the proximal", err)
+    assert "constant_scale" in err
 
 
 def test_cli_audit_passes_and_control_catches(capsys):

@@ -78,3 +78,22 @@ def test_projection_is_idempotent_and_nonexpansive():
         assert ball.contains(px) and ball.contains(py)
         assert np.allclose(project_onto_ball(px, ball), px, rtol=0, atol=1e-15)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+def test_frozen_records_copy_the_caller_arrays():
+    from dpsco import (
+        InnerSolveConfig, LowerBoundSpec, PrivacyBudget, RngStream, Schedule,
+        interpolation_localization, make_lower_bound_instance, make_noiseless_least_squares,
+    )
+
+    center, xstar, x0, v = np.zeros(2), np.array([0.5, 0.0]), np.zeros(2), np.array([0.5, 0.0])
+    ball = Ball(center, 1.0)
+    inst = make_noiseless_least_squares(2, 256, xstar, 1.0)
+    interpolation_localization(
+        inst, x0, Schedule(T=2, m=64, beta=0.1, constant_scale=2e-3), PrivacyBudget(1.0),
+        InnerSolveConfig(), RngStream(0),
+    )
+    make_lower_bound_instance(LowerBoundSpec(d=2, n=8, k=2, v=v, H=1.0))
+    for arr in (center, xstar, x0, v):
+        assert arr.flags.writeable
+    assert not ball.center.flags.writeable and not inst.optimum.point.flags.writeable

@@ -1,0 +1,189 @@
+"""Run plans: a bit-identity guard over every solver, and the plan's
+independence from the noise and from the data's row order."""
+
+import hashlib
+import math
+import struct
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from dpsco import (
+    Ball,
+    Dataset,
+    InnerSolveConfig,
+    LowerBoundSpec,
+    PrivacyBudget,
+    RngStream,
+    Schedule,
+    adaptive_solver,
+    epoch_growth_solver,
+    interpolation_localization,
+    kappa_interpolation,
+    lipschitz_wrap,
+    localization_erm,
+    solve_regularized_erm,
+)
+from dpsco.hardness import (
+    make_lower_bound_instance,
+    make_margin_classification,
+    make_noiseless_least_squares,
+    make_noisy_least_squares,
+)
+
+CFG = InnerSolveConfig()
+PGD = InnerSolveConfig(exact_quadratic=False)
+PURE = PrivacyBudget(1.0, 0.0)
+GAUSS = PrivacyBudget(1.0, 1e-5)
+FREE = PrivacyBudget(math.inf, 0.0)
+
+G = object()  # placeholder for the noise generator in a run's arguments
+
+# SHA-256 over the points and every trace field of the runs below; any
+# change to a solver's arithmetic, noise order or trace layout moves it
+RUN_DIGEST = "1dfe4850a1c628a3a1ac886c4cf8e95cfb47f58ccb880caa107f4d276cd8ee9b"
+
+
+def _feed_trace(h, trace) -> None:
+    h.update(struct.pack("<qqqd", trace.dropped, len(trace.epochs), len(trace.children),
+                         trace.max_consumed_gradient))
+    h.update(trace.note.encode() + b"\0")
+    for rec in trace.epochs:
+        h.update(struct.pack("<qdddqq", rec.index, rec.diameter, rec.lipschitz,
+                             rec.noise_scale, *rec.samples))
+        h.update(np.asarray(rec.iterate, dtype=np.float64).tobytes())
+    for child in trace.children:
+        _feed_trace(h, child)
+
+
+def _runs():
+    """(label, thunk) for every solver on every family it accepts."""
+    quad = make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0)
+    noisy = make_noisy_least_squares(2, 512, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0))
+    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0))
+    hinge = make_margin_classification(3, 256, 0.25, RngStream(2, 0))
+    tiny = make_noiseless_least_squares(2, 64, [0.5, 0.0], 1.0)
+    steep = {f"{tag}-k3": replace(i, constants=replace(i.constants, kappa=3.0))
+             for tag, i in (("quad", quad), ("ind", ind))}
+    contracting = Schedule(T=4, m=64, beta=0.05, constant_scale=2e-3)
+    loose = Schedule(T=3, m=64, beta=0.05, constant_scale=1.0)
+    budgets = {"pure": PURE, "gauss": GAUSS, "free": FREE}
+    x0 = np.array([0.3, -0.2])
+    box = Ball(np.array([0.1, 0.1]), 0.9)
+    point = Ball(np.array([0.2, 0.1]), 0.0)
+    runs = []
+    seed = iter(range(10_000))
+
+    def add(label, fn, *args, **kwargs):
+        # G marks the noise generator's slot; each run draws its own stream
+        gen = RngStream(next(seed), 7)
+        args = tuple(gen if a is G else a for a in args)
+        runs.append((label, lambda: fn(*args, **kwargs)))
+
+    for (tag, inst), (bname, b) in (
+        (pair, bud) for pair in (("quad", quad), ("noisy", noisy), ("ind", ind))
+        for bud in budgets.items()
+    ):
+        L = inst.constants.L
+        add(f"interp-{tag}-{bname}", interpolation_localization, inst, x0, contracting, b, CFG, G)
+        add(f"interp-over-{tag}-{bname}", interpolation_localization, inst, x0, loose, b, CFG, G,
+            span=(10, 400), lipschitz=0.8 * L, domain=box, inner_epochs=2)
+        add(f"adaptive-{tag}-{bname}", adaptive_solver, inst, x0, contracting, b, CFG, G)
+        add(f"adaptive-loose-{tag}-{bname}", adaptive_solver, inst, x0, loose, b, CFG, G,
+            inner_epochs=2)
+    for tag, inst in steep.items():
+        for bname in ("pure", "gauss"):
+            add(f"kappa-{tag}-{bname}", kappa_interpolation, inst, x0, contracting,
+                budgets[bname], CFG, G, inner_epochs=2)
+    for (tag, inst), bname in (
+        (pair, bn) for pair in (("quad", quad), ("noisy", noisy), ("ind", ind), ("hinge", hinge))
+        for bn in ("pure", "gauss")
+    ):
+        b, L, c = budgets[bname], inst.constants.L, np.zeros(inst.d)
+        sub = Ball(np.full(inst.d, 0.05), 0.7)
+        add(f"growth-raw-{tag}-{bname}", epoch_growth_solver, inst, c, 4, 0.05, b, CFG, G,
+            clipL=L)
+        add(f"growth-wrap-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver, inst, L, c, 4,
+            0.05, b, CFG, G)
+        add(f"growth-tight-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver, inst, 0.3 * L, c,
+            3, 0.05, b, CFG, G, span=(7, 200), domain=sub)
+        add(f"erm-raw-{tag}-{bname}", localization_erm, inst, c, 0.05, b, CFG, G, clipL=L)
+        add(f"erm-wrap-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, L, c, 0.05, b, CFG, G)
+        add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, 0.3 * L, c, 0.2,
+            b, CFG, G, span=(3, 150), domain=sub)
+    add("growth-pgd-quad", lipschitz_wrap, epoch_growth_solver, quad, 0.5, x0, 3, 0.05, PURE,
+        PGD, G)
+    add("growth-degenerate", epoch_growth_solver, quad, x0, 3, 0.05, PURE, CFG, G, clipL=1.0,
+        domain=point)
+    add("interp-degenerate", interpolation_localization, quad, x0, contracting, PURE, CFG, G,
+        domain=point, inner_epochs=1)
+    add("interp-early-exit", interpolation_localization, tiny, x0,
+        Schedule(T=5, m=2, beta=0.1, constant_scale=1e-300), PURE, CFG, G, inner_epochs=1)
+    add("adaptive-tiny-scale", adaptive_solver, quad, x0,
+        Schedule(T=4, m=32, beta=0.05, constant_scale=1e-300), PURE, CFG, G)
+    for tag, inst in (("quad", quad), ("hinge", hinge)):
+        c = np.full(inst.d, 0.1)
+        runs.append((f"rerm-{tag}", lambda i=inst, c=c: solve_regularized_erm(
+            i, c, 0.5, Ball(c, 0.4), CFG, span=(5, 90), clip=0.7)))
+    return runs
+
+
+def test_every_solver_run_is_bit_identical_to_the_recorded_digest():
+    h = hashlib.sha256()
+    for label, run in _runs():
+        h.update(label.encode() + b"\0")
+        res = run()
+        if isinstance(res, tuple):  # solve_regularized_erm: (point, consumed)
+            h.update(np.asarray(res[0], dtype=np.float64).tobytes())
+            h.update(struct.pack("<d", res[1]))
+            continue
+        h.update(np.asarray(res.point, dtype=np.float64).tobytes())
+        _feed_trace(h, res.trace)
+    digest = h.hexdigest()
+    assert digest == RUN_DIGEST, f"solver runs changed; new digest {digest}"
+
+
+def _releases(trace):
+    """(samples, diameter, lipschitz, noise_scale) of every leaf release."""
+    if not trace.children:
+        return [(r.samples, r.diameter, r.lipschitz, r.noise_scale) for r in trace.epochs]
+    return [rel for child in trace.children for rel in _releases(child)]
+
+
+_SOLVERS = {
+    "interpolation": lambda inst, gen, b: interpolation_localization(
+        inst, np.zeros(2), Schedule(T=3, m=96, beta=0.05, constant_scale=2e-3), b, CFG, gen),
+    "adaptive": lambda inst, gen, b: adaptive_solver(
+        inst, np.zeros(2), Schedule(T=2, m=64, beta=0.05, constant_scale=2e-3), b, CFG, gen),
+    "growth": lambda inst, gen, b: lipschitz_wrap(
+        epoch_growth_solver, inst, inst.constants.L, np.zeros(2), 4, 0.05, b, CFG, gen),
+    "erm": lambda inst, gen, b: localization_erm(
+        inst, np.zeros(2), 0.05, b, CFG, gen, clipL=inst.constants.L),
+}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    solver=st.sampled_from(sorted(_SOLVERS)),
+    gaussian=st.booleans(),
+    n=st.integers(300, 420),
+    data_seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+)
+def test_releases_depend_on_neither_the_noise_nor_the_row_order(
+    solver, gaussian, n, data_seed, seeds
+):
+    # the plan fixes every release from n, the schedule, the budget and the
+    # declared constants; this is what lets one plan serve many seeds
+    run = _SOLVERS[solver]
+    budget = GAUSS if gaussian else PURE
+    inst = make_noisy_least_squares(2, n, [0.5, 0.0], 1.0, 0.3, RngStream(data_seed, 0))
+    perm = np.random.default_rng(data_seed).permutation(n)
+    shuffled = replace(inst, dataset=Dataset(inst.dataset.points[perm]), optimum=None)
+    first = _releases(run(inst, RngStream(seeds[0], 1), budget).trace)
+    assert first == _releases(run(inst, RngStream(seeds[1], 1), budget).trace)
+    assert first == _releases(run(shuffled, RngStream(seeds[0], 1), budget).trace)
+    spans = sorted(rel[0] for rel in first)
+    assert spans and all(0 <= lo < hi <= n for lo, hi in spans)
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
