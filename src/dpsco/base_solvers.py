@@ -38,6 +38,12 @@ are used as-is; only the end of a nested plan is projected onto its
 ball, and the returned point onto the input domain (post-processing, so
 privacy is unaffected). An infinite budget makes every noise scale zero
 and the draw is skipped.
+
+A solver runs on its whole instance: all n samples, the instance's
+domain and its declared Lipschitz level. To run on a sub-span, inside a
+sub-ball or at another level, build that instance with
+``dataclasses.replace`` (a new ``Dataset``, ``domain``, or
+``constants`` with another L, and ``optimum=None``).
 """
 
 from __future__ import annotations
@@ -93,20 +99,10 @@ class InnerSolveConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Returned point (inside the input domain), audit trace, budget."""
+    """Returned point (inside the instance's domain) and audit trace."""
 
     point: Vector
     trace: RunTrace
-    budget_spent: PrivacyBudget
-
-
-def _resolve_span(inst: Instance, span: tuple[int, int] | None) -> tuple[int, int]:
-    if span is None:
-        return 0, inst.n
-    lo, hi = int(span[0]), int(span[1])
-    if not (0 <= lo < hi <= inst.n):
-        raise ValueError(f"span {span} out of range for {inst.n} samples")
-    return lo, hi
 
 
 def _closed_form_valid(H: float, domain: Ball, anchors: np.ndarray, clip: float) -> bool:
@@ -145,7 +141,9 @@ def solve_regularized_erm(
         raise ValueError(f"eta must be a positive real, got {eta}")
     if not clip > 0:
         raise ValueError(f"clip level must be positive, got {clip}")
-    lo, hi = _resolve_span(inst, span)
+    lo, hi = (0, inst.n) if span is None else (int(span[0]), int(span[1]))
+    if not (0 <= lo < hi <= inst.n):
+        raise ValueError(f"span {span} out of range for {inst.n} samples")
     n0 = hi - lo
     pts = inst.dataset.points[lo:hi]
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
@@ -349,11 +347,10 @@ def _execute(inst, plan, x, domain, budget, cfg, gen, extension):
     return project_onto_ball(x, domain), trace
 
 
-def _run(inst, plan, x, domain, budget, cfg, rng, extension) -> SolverResult:
-    """Execute a top-level plan from x inside ``domain`` (None: the instance's)."""
-    domain = inst.domain if domain is None else domain
-    point, trace = _execute(inst, plan, x, domain, budget, cfg, as_generator(rng), extension)
-    return SolverResult(point=point, trace=trace, budget_spent=budget)
+def _run(inst, plan, x, budget, cfg, rng, extension) -> SolverResult:
+    """Execute a top-level plan from x inside the instance's domain."""
+    point, trace = _execute(inst, plan, x, inst.domain, budget, cfg, as_generator(rng), extension)
+    return SolverResult(point=point, trace=trace)
 
 
 def localization_erm(
@@ -365,8 +362,6 @@ def localization_erm(
     rng,
     *,
     clipL: float,
-    span: tuple[int, int] | None = None,
-    domain: Ball | None = None,
     extension: bool = False,
 ) -> SolverResult:
     """Localized private ERM: shrinking phases plus output perturbation.
@@ -377,8 +372,8 @@ def localization_erm(
     given clip level.
     """
     x = as_point(x0, inst.d)
-    plan = erm_plan(*_resolve_span(inst, span), eta, clipL, inst.d, budget)
-    return _run(inst, plan, x, domain, budget, cfg, rng, extension)
+    plan = erm_plan(0, inst.n, eta, clipL, inst.d, budget)
+    return _run(inst, plan, x, budget, cfg, rng, extension)
 
 
 def epoch_growth_solver(
@@ -391,8 +386,6 @@ def epoch_growth_solver(
     rng,
     *,
     clipL: float,
-    span: tuple[int, int] | None = None,
-    domain: Ball | None = None,
     extension: bool = False,
 ) -> SolverResult:
     """Epoch solver for growth instances: halving radii and steps.
@@ -404,9 +397,8 @@ def epoch_growth_solver(
     x = as_point(x0, inst.d)
     if T is None:  # the default epoch count is for nested runs only
         raise ValueError("T must be a positive integer, got None")
-    radius = (inst.domain if domain is None else domain).radius
-    plan = growth_plan(*_resolve_span(inst, span), T, beta, clipL, radius, inst.d, budget)
-    return _run(inst, plan, x, domain, budget, cfg, rng, extension)
+    plan = growth_plan(0, inst.n, T, beta, clipL, inst.domain.radius, inst.d, budget)
+    return _run(inst, plan, x, budget, cfg, rng, extension)
 
 
 def lipschitz_wrap(solver, inst: Instance, clipL: float, *args, **kwargs) -> SolverResult:

@@ -67,6 +67,7 @@ CSV_COLUMNS = (
 )
 
 SOLVER_IDS = ("interpolation", "kappa", "adaptive", "epoch-growth", "localization-erm")
+_LOCALIZING = SOLVER_IDS[:3]  # the solvers that read a schedule and inner_epochs
 
 LINEAR_IN_N = "log-linear-in-n"
 LINEAR_IN_LOG_N = "log-linear-in-log-n"
@@ -86,7 +87,8 @@ class ExperimentConfig:
 
     Schedule knobs: leave T and m unset to derive the block schedule from
     the constants; set m (and optionally T, default n // m) to pin it.
-    beta unset means n**(-mu). Each field's annotation is also the type
+    beta unset means n**(-mu). A key the configured solver or family
+    never reads is rejected. Each field's annotation is also the type
     its key=value text is parsed to (``config_from_mapping``).
     """
 
@@ -160,6 +162,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"radius is only supported for the {QuadraticAnchor.tag} family"
                 )
+        if self.noise_std > 0 and self.family != QuadraticAnchor.tag:
+            raise ValueError(f"noise_std is only supported for the {QuadraticAnchor.tag} family")
+        if self.eta is not None and self.solver != "localization-erm":
+            raise ValueError("eta is only supported for the localization-erm solver")
+        if self.inner_epochs is not None and self.solver not in _LOCALIZING:
+            raise ValueError(
+                f"inner_epochs is only supported for the {', '.join(_LOCALIZING)} solvers"
+            )
+        for name in ("T", "m"):
+            if getattr(self, name) is not None and self.solver == "localization-erm":
+                raise ValueError(f"{name} is not supported for the localization-erm solver")
 
 
 def _parse_bool(text: str) -> bool:
@@ -241,7 +254,7 @@ _INSTANCE_BUILDERS = {
     QuadraticAnchor.tag: lambda cfg, n, xstar, rng: (
         make_noisy_least_squares(cfg.d, n, xstar, cfg.H, cfg.noise_std, rng, radius=cfg.radius)
         if cfg.noise_std > 0
-        else make_noiseless_least_squares(cfg.d, n, xstar, cfg.H, rng, radius=cfg.radius)
+        else make_noiseless_least_squares(cfg.d, n, xstar, cfg.H, radius=cfg.radius)
     ),
     IndicatorQuadratic.tag: lambda cfg, n, xstar, rng: make_lower_bound_instance(
         LowerBoundSpec(d=cfg.d, n=n, k=max(1, n // 2), v=xstar, H=cfg.H)
@@ -272,7 +285,7 @@ def resolve_schedule(cfg: ExperimentConfig, inst: Instance, n: int) -> Schedule:
             raise ValueError(
                 f"manual schedule T={T}, m={m} does not fit n={n} (need T >= 1, m >= 2, T*m <= n)"
             )
-        return Schedule(T=T, m=m, beta=beta, mu=cfg.mu, constant_scale=cfg.constant_scale)
+        return Schedule(T=T, m=m, beta=beta, constant_scale=cfg.constant_scale)
     sched = default_schedule(
         n, inst.constants, cfg.d, PrivacyBudget(cfg.eps, cfg.delta),
         mu=cfg.mu, constant_scale=cfg.constant_scale,
@@ -299,7 +312,7 @@ def _run_solver(cfg: ExperimentConfig, inst: Instance, n: int, gen):
     icfg = InnerSolveConfig()
     x0 = inst.domain.center.copy()
     L = inst.constants.L
-    if cfg.solver in ("interpolation", "kappa", "adaptive"):
+    if cfg.solver in _LOCALIZING:
         half = n // 2 if cfg.solver == "adaptive" else n
         sched = resolve_schedule(cfg, inst, half)
         runner = {

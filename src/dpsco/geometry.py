@@ -7,7 +7,7 @@ rest of the package can assume finite, one-dimensional inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,10 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, x, slack: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Membership up to a 1e-9 slack, so projected points count as inside."""
         x = as_point(x, self.d)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + slack
+        return float(np.linalg.norm(x - self.center)) <= self.radius + 1e-9
 
 
 def project_onto_ball(x, ball: Ball) -> Vector:

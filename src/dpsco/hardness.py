@@ -84,41 +84,32 @@ class PackingSpec:
 @dataclass(frozen=True)
 class SuperefficiencyParams:
     """Replacement attack on an interpolating base: drop the last r
-    samples, append r anchors at +anchor. t, c0, c1 record the claimed
-    superefficiency rate (excess <= c0 exp(-c1 n^t)) being traded away."""
+    samples, append r anchors at +anchor."""
 
     r: int
     anchor: float
-    t: float = 1.0
-    c0: float = 1.0
-    c1: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.r, int) and self.r >= 1):
             raise ValueError(f"removal count r must be a positive integer, got {self.r}")
-        if not (0 < self.t <= 1):
-            raise ValueError(f"t must lie in (0, 1], got {self.t}")
-        if not (self.c0 > 0 and self.c1 > 0):
-            raise ValueError("rate constants c0, c1 must be positive")
 
     @classmethod
-    def from_epsilon(cls, eps: float, anchor: float, **kwargs) -> "SuperefficiencyParams":
+    def from_epsilon(cls, eps: float, anchor: float) -> "SuperefficiencyParams":
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        return cls(r=math.ceil(1.0 / eps), anchor=anchor, **kwargs)
+        return cls(r=math.ceil(1.0 / eps), anchor=anchor)
 
 
 # -- generators --------------------------------------------------------------
 
 
 def make_noiseless_least_squares(
-    d: int, n: int, xstar, H: float, rng=None, radius: float | None = None
+    d: int, n: int, xstar, H: float, *, radius: float | None = None
 ) -> Instance:
     """Interpolating least squares: every anchor sits exactly at xstar.
 
     Population risk (H/2)||x - xstar||^2, so the growth coefficient is
-    exactly H. Deterministic; rng is accepted for API uniformity with
-    the other generators and never consumed.
+    exactly H. Deterministic, so it takes no random stream.
     """
     xstar = as_point(xstar, d)
     R = float(radius) if radius is not None else max(1.0, 2.0 * float(np.linalg.norm(xstar)))
@@ -343,7 +334,7 @@ def superefficiency_construct(
         raise ValueError("base instance must interpolate (zero gradients at the optimum)")
     if params.r >= base.n:
         raise ValueError(f"must keep at least one sample: r = {params.r}, n = {base.n}")
-    vals = _active_values_1d(base)
+    _active_values_1d(base)  # 1-D quadratic family, or ValueError
     base_min = float(exact_minimizer(base)[0])
     if base_min > 0.0:
         raise ValueError(f"largest population minimizer must be <= 0, got {base_min}")
@@ -456,28 +447,24 @@ def stability_bound_check(
     )
 
 
-def growth_closure_check(base: Instance, r: int, eps: float | None = None) -> GrowthReport:
+def growth_closure_check(base: Instance, r: int) -> GrowthReport:
     """Worst-case growth coefficient after dropping r samples.
 
     Keeps the 1/n weighting, so dropping a sample removes its curvature
     contribution from the average. Per-sample Hessians are isotropic, so
     dropping the r largest contributions is the exact adversary. The
-    bound is lambda - H / (n * eps) with eps defaulting to 1/r (that is,
-    lambda - H r / n); r = 0 leaves the declared coefficient untouched.
+    bound is lambda - H / (n * (1/r)), that is lambda - H r / n computed
+    through 1/r; r = 0 leaves the declared coefficient untouched.
     """
     if not (isinstance(r, int) and 0 <= r < base.n):
         raise ValueError(f"r must be an integer in [0, n), got {r}")
-    if eps is None:
-        eps = math.inf if r == 0 else 1.0 / r
-    elif not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if base.family.anchors is None:
         raise ValueError("growth closure needs a quadratic family")
     H = base.constants.H
     contributions = base.family.curvatures(base.dataset.points)
     worst = float(np.sort(contributions)[::-1][:r].sum())
     coefficient = (float(contributions.sum()) - worst) / base.n
-    bound = base.constants.growth - (0.0 if math.isinf(eps) else H / (base.n * eps))
+    bound = base.constants.growth - (0.0 if r == 0 else H / (base.n * (1.0 / r)))
     return GrowthReport(
         coefficient=coefficient,
         bound=bound,
@@ -487,7 +474,7 @@ def growth_closure_check(base: Instance, r: int, eps: float | None = None) -> Gr
     )
 
 
-def pinch_check(h: Quadratic1D, g: Quadratic1D, grid: int = 41) -> PinchReport:
+def pinch_check(h: Quadratic1D, g: Quadratic1D) -> PinchReport:
     """Locate the minimizer of the average of two 1-D quadratics.
 
     Checks the pinch inequalities
@@ -495,8 +482,8 @@ def pinch_check(h: Quadratic1D, g: Quadratic1D, grid: int = 41) -> PinchReport:
         (c_g/2) / (c_g/2 + c_h) <= t <= c_g / (c_h/2 + c_g),
         t = (x* - m_h) / (m_g - m_h),
 
-    (trivially 0 when the minimizers coincide) and, on an evenly spaced
-    grid around both minimizers, the gradient envelope
+    (trivially 0 when the minimizers coincide) and, on 41 evenly spaced
+    points around both minimizers, the gradient envelope
     (lambda/2) dist <= |F'| <= H dist for the averaged objective.
     """
     gap = g.minimizer - h.minimizer
@@ -517,7 +504,7 @@ def pinch_check(h: Quadratic1D, g: Quadratic1D, grid: int = 41) -> PinchReport:
     avg_coef = (h.coef + g.coef) / 2.0  # curvature of the averaged objective
     span = max(abs(gap), 1.0)
     xs = np.linspace(
-        min(h.minimizer, g.minimizer) - span, max(h.minimizer, g.minimizer) + span, grid
+        min(h.minimizer, g.minimizer) - span, max(h.minimizer, g.minimizer) + span, 41
     )
     fprime = 0.5 * (h.coef * (xs - h.minimizer) + g.coef * (xs - g.minimizer))
     dist = np.abs(xs - x_star)

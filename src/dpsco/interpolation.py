@@ -44,17 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .base_solvers import (
-    InnerSolveConfig,
-    Plan,
-    SolverResult,
-    _nested,
-    _resolve_span,
-    _run,
-    default_inner_epochs,
-    growth_plan,
-)
-from .geometry import Ball, as_point
+from .base_solvers import InnerSolveConfig, Plan, SolverResult, _nested, _run, growth_plan
+from .geometry import as_point
 from .problems import Instance, PrivacyBudget, Schedule
 
 
@@ -129,19 +120,19 @@ def localize_plan(
     schedule: Schedule,
     budget: PrivacyBudget,
     kappa: float,
-    span: tuple[int, int] | None,
+    span: tuple[int, int],
     radius: float,
-    lipschitz: float | None,
     inner_epochs: int | None,
 ) -> Plan:
-    """T epochs on m-sample blocks of the span, each a clipped growth
-    plan in the current ball: first the domain of the given radius, then
-    a ball shrunk by the kappa rule around the previous epoch's output.
-    A shrink that is zero or not finite ends the plan early (noted)."""
+    """T epochs on m-sample blocks of the span [lo, hi), each a growth
+    plan clipped at the current level (first the declared L) in the
+    current ball: first the enclosing domain of the given radius, then a
+    ball shrunk by the kappa rule around the previous epoch's output. A
+    shrink that is zero or not finite ends the plan early (noted)."""
     lam = inst.constants.growth
     if not lam > 0:
         raise ValueError("localization needs a positive growth coefficient")
-    lo, hi = _resolve_span(inst, span)
+    lo, hi = span
     T, m = schedule.T, schedule.m
     if T * m > hi - lo:
         raise ValueError(f"schedule needs T*m = {T * m} samples, span has {hi - lo}")
@@ -154,7 +145,7 @@ def localize_plan(
         growth=lam, kappa=kappa,
     )
     D = 2.0 * radius
-    L = inst.constants.L if lipschitz is None else float(lipschitz)
+    L = inst.constants.L
     steps, note = [], ""
     for i in range(1, T + 1):
         block = (lo + (i - 1) * m, lo + i * m)
@@ -183,9 +174,6 @@ def interpolation_localization(
     cfg: InnerSolveConfig,
     rng,
     *,
-    domain: Ball | None = None,
-    lipschitz: float | None = None,
-    span: tuple[int, int] | None = None,
     inner_epochs: int | None = None,
 ) -> SolverResult:
     """Shrinking-ball solver for quadratic-growth interpolation instances.
@@ -197,9 +185,10 @@ def interpolation_localization(
     current iterate (noted in the trace).
     """
     x = as_point(x0, inst.d)
-    radius = (inst.domain if domain is None else domain).radius
-    plan = localize_plan(inst, schedule, budget, 2.0, span, radius, lipschitz, inner_epochs)
-    return _run(inst, plan, x, domain, budget, cfg, rng, extension=True)
+    plan = localize_plan(
+        inst, schedule, budget, 2.0, (0, inst.n), inst.domain.radius, inner_epochs
+    )
+    return _run(inst, plan, x, budget, cfg, rng, extension=True)
 
 
 def kappa_interpolation(
@@ -210,9 +199,6 @@ def kappa_interpolation(
     cfg: InnerSolveConfig,
     rng,
     *,
-    domain: Ball | None = None,
-    lipschitz: float | None = None,
-    span: tuple[int, int] | None = None,
     inner_epochs: int | None = None,
 ) -> SolverResult:
     """Localization under kappa-growth, kappa strictly above 2.
@@ -226,9 +212,10 @@ def kappa_interpolation(
     if not kappa > 2.0:
         raise ValueError(f"kappa-growth localization needs kappa > 2, got {kappa}")
     x = as_point(x0, inst.d)
-    radius = (inst.domain if domain is None else domain).radius
-    plan = localize_plan(inst, schedule, budget, kappa, span, radius, lipschitz, inner_epochs)
-    return _run(inst, plan, x, domain, budget, cfg, rng, extension=True)
+    plan = localize_plan(
+        inst, schedule, budget, kappa, (0, inst.n), inst.domain.radius, inner_epochs
+    )
+    return _run(inst, plan, x, budget, cfg, rng, extension=True)
 
 
 def interpolation_width(
@@ -287,7 +274,7 @@ def adaptive_solver(
     # at the domain diameter contains that intersection
     trust = min(d_int / 2.0, inst.domain.diameter)
     phase2 = localize_plan(
-        inst, replace(schedule, beta=beta / 2.0), budget, 2.0, (half, inst.n), trust, L,
+        inst, replace(schedule, beta=beta / 2.0), budget, 2.0, (half, inst.n), trust,
         inner_epochs,
     )
     steps = (_nested((0, half), None, None, L, phase1),
@@ -296,7 +283,7 @@ def adaptive_solver(
     # the executor's last projection pulls the iterate back into the
     # declared domain; projection is 1-Lipschitz around the in-domain
     # trust center, so the point also stays inside the phase 2 ball
-    return _run(inst, plan, x, None, budget, cfg, rng, extension=True)
+    return _run(inst, plan, x, budget, cfg, rng, extension=True)
 
 
 def schedule_block_size(
@@ -348,7 +335,7 @@ def default_schedule(
     beta = float(n) ** (-mu)
     if not 0 < beta < 1:
         raise ValueError(f"beta = n^-mu = {beta} must lie in (0, 1)")
-    return Schedule(T=n // m, m=m, beta=beta, mu=mu, constant_scale=constant_scale)
+    return Schedule(T=n // m, m=m, beta=beta, constant_scale=constant_scale)
 
 
 def sample_complexity(alpha: float, rho: float, d: int, budget: PrivacyBudget) -> float:
@@ -356,14 +343,23 @@ def sample_complexity(alpha: float, rho: float, d: int, budget: PrivacyBudget) -
 
         alpha^{-rho} + (md / (rho * eps)) * ln(1/alpha),
 
-    md = d for pure DP and sqrt(d ln(1/delta)) otherwise.
+    md = d for pure DP and sqrt(d ln(1/delta)) otherwise. A non-finite
+    rho or eps, or a count that overflows, raises ValueError.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if not (isinstance(d, int) and d >= 1):
         raise ValueError(f"dimension must be a positive integer, got {d}")
     eps, delta = budget.eps, budget.delta
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     md = math.sqrt(d * math.log(1.0 / delta)) if delta > 0 else float(d)
-    return alpha**-rho + (md / (rho * eps)) * math.log(1.0 / alpha)
+    try:
+        samples = alpha**-rho + (md / (rho * eps)) * math.log(1.0 / alpha)
+    except OverflowError:  # float ** raises where * and / return inf
+        samples = math.inf
+    if not math.isfinite(samples):
+        raise ValueError(f"sample count overflows at rho = {rho}, eps = {eps}")
+    return samples

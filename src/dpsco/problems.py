@@ -27,7 +27,7 @@ kappa, kappa_floor. ``domain`` is the center followed by the radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,7 +275,6 @@ class Schedule:
     T: int
     m: int
     beta: float
-    mu: float = 1.0
     constant_scale: float = 1.0
 
     def __post_init__(self):
@@ -285,8 +284,6 @@ class Schedule:
             raise ValueError(f"m must be an integer >= 1, got {self.m}")
         if not (0 < self.beta < 1):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.constant_scale > 0:
             raise ValueError(f"constant_scale must be positive, got {self.constant_scale}")
 

@@ -1,6 +1,7 @@
 """Benchmark harness: config parsing, sweeps, rate fits, audit, CLI."""
 
 import dataclasses
+import hashlib
 import importlib.metadata
 import math
 import os
@@ -415,6 +416,35 @@ def test_cli_non_finite_config_value_is_rejected_before_any_generator(key, value
     assert "and finite" in err
 
 
+@pytest.mark.parametrize(
+    "solver, family, override",
+    [
+        ("localization-erm", "quadratic-anchor", "T=2"),
+        ("localization-erm", "quadratic-anchor", "m=8"),
+        ("localization-erm", "quadratic-anchor", "inner_epochs=2"),
+        ("epoch-growth", "quadratic-anchor", "inner_epochs=2"),
+        ("epoch-growth", "quadratic-anchor", "eta=0.1"),
+        ("interpolation", "quadratic-anchor", "eta=0.1"),
+        ("localization-erm", "indicator-quadratic", "noise_std=0.7"),
+        ("localization-erm", "smoothed-hinge-margin", "noise_std=0.7"),
+    ],
+    ids=lambda v: v,
+)
+def test_cli_rejects_a_sweep_key_the_run_never_reads(solver, family, override, monkeypatch,
+                                                     capsys):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(dpsco.bench, "_sweep_cell", no_cells)
+    argv = ["sweep", "--set", f"solver={solver}", "--set", f"family={family}",
+            "--set", "n_grid=64", "--set", "seeds=1", "--set", override]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = override.split("=")[0]
+    assert captured.err.startswith(f"config error: {key} is ")
+
+
 def test_cli_rejects_an_overflowing_proximal_coefficient_before_the_run(capsys):
     # tiny balls shrink the inner steps until 2/(eta n0) overflows; the
     # plan refuses that release instead of solving with an infinite term
@@ -446,6 +476,26 @@ def test_cli_oracles(capsys):
     assert all(line.startswith("ok ") for line in out)
 
 
+# SHA-256 over the argv and stdout of each run below: every oracle value
+# and both audit estimates, not only the few the tests above pin
+OUTPUT_RUNS = (
+    ["oracles"],
+    ["oracles", "--seed-base", "1"],
+    ["audit"],
+    ["audit", "--seed-base", "2", "--set", "trials=20000"],
+)
+OUTPUT_DIGEST = "8b15f35d543b24d6fc249943bd0c7c9838733cdf52a3c8ffd36a4a2eb074741c"
+
+
+def test_cli_oracle_and_audit_output_is_byte_identical_to_the_recorded_digest(capsys):
+    h = hashlib.sha256()
+    for argv in OUTPUT_RUNS:
+        assert main(argv) == 0
+        h.update(" ".join(argv).encode() + b"\0" + capsys.readouterr().out.encode() + b"\0")
+    digest = h.hexdigest()
+    assert digest == OUTPUT_DIGEST, f"oracle or audit output changed; new digest {digest}"
+
+
 def test_cli_complexity(capsys):
     code = main(
         ["complexity", "--set", "alpha=0.01", "--set", "rho=1.0", "--set", "d=10"]
@@ -454,6 +504,23 @@ def test_cli_complexity(capsys):
     out = capsys.readouterr().out
     assert "alpha=0.01" in out and "rho=1.0" in out and "d=10" in out
     assert "samples=146.05" in out
+
+
+@pytest.mark.parametrize(
+    "override, reason",
+    [
+        ("eps=inf", "eps must be finite"),
+        ("rho=inf", "rho must be positive and finite"),
+        ("rho=nan", "rho must be positive and finite"),
+        ("rho=1e-320", "sample count overflows"),
+        ("rho=400", "sample count overflows"),
+    ],
+)
+def test_cli_complexity_rejects_non_finite_input_and_overflow(override, reason, capsys):
+    assert main(["complexity", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {reason}")
 
 
 def test_cli_out_flag_writes_file(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_zero_radius_ball_is_a_point():
 def test_contains_has_boundary_slack():
     ball = Ball(np.zeros(1), 1.0)
     assert ball.contains([1.0])
-    assert ball.contains([1.0 + 1e-10])  # inside the default 1e-9 slack
+    assert ball.contains([1.0 + 1e-10])  # inside the 1e-9 slack
     assert not ball.contains([1.0 + 1e-6])
 
 

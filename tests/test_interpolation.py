@@ -8,6 +8,7 @@ import pytest
 
 from dpsco import (
     Ball,
+    Dataset,
     InnerSolveConfig,
     LossConstants,
     PrivacyBudget,
@@ -150,12 +151,14 @@ def test_localization_trace_monotone_even_when_the_shrink_stalls():
 
 
 def test_localization_blocks_partition_the_span():
-    inst = make_noiseless_least_squares(2, 2048, [0.5, 0.0], 1.0)
+    full = make_noiseless_least_squares(2, 2048, [0.5, 0.0], 1.0)
+    # samples [100, 1200) as an instance of their own
+    inst = replace(full, dataset=Dataset(full.dataset.points[100:1200]), optimum=None)
     sched = Schedule(T=3, m=256, beta=0.05, constant_scale=2.0e-3)
     res = interpolation_localization(
-        inst, np.zeros(2), sched, PURE, CFG, RngStream(22, 2), span=(100, 1200), inner_epochs=1
+        inst, np.zeros(2), sched, PURE, CFG, RngStream(22, 2), inner_epochs=1
     )
-    assert [r.samples for r in res.trace.epochs] == [(100, 356), (356, 612), (612, 868)]
+    assert [r.samples for r in res.trace.epochs] == [(0, 256), (256, 512), (512, 768)]
     assert res.trace.dropped == 1100 - 3 * 256
     # children consume only indices inside their parent block
     for rec, child in zip(res.trace.epochs, res.trace.children):
@@ -183,10 +186,6 @@ def test_localization_validation():
     with pytest.raises(ValueError):
         interpolation_localization(
             inst, np.zeros(2), ok, PURE, CFG, RngStream(0), inner_epochs=0
-        )
-    with pytest.raises(ValueError):
-        interpolation_localization(
-            inst, np.zeros(2), ok, PURE, CFG, RngStream(0), lipschitz=-1.0
         )
     flat = replace(inst, constants=LossConstants(L=1.5, H=1.0, growth=0.0))
     with pytest.raises(ValueError):
@@ -278,10 +277,12 @@ def test_interpolation_width_hand_arithmetic():
 
 
 def test_adaptive_output_lies_in_the_trust_ball():
-    # replay phase 1 with an identically seeded generator to rebuild the
-    # trust region, then check the final point landed inside it
+    # replay phase 1 on the first half with an identically seeded
+    # generator to rebuild the trust region, then check the final point
+    # landed inside it
     inst = make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0)
     half = 256
+    first = replace(inst, dataset=Dataset(inst.dataset.points[:half]), optimum=None)
     for scale, seeds in ((1.0, range(10)), (2.9e-3, range(10, 20))):
         sched = Schedule(T=4, m=64, beta=0.05, constant_scale=scale)
         for seed in seeds:
@@ -289,8 +290,8 @@ def test_adaptive_output_lies_in_the_trust_ball():
             gen = RngStream(seed, 8).generator()
             t1 = default_inner_epochs(half, inst.constants.kappa_floor)
             phase1 = lipschitz_wrap(
-                epoch_growth_solver, inst, inst.constants.L, np.zeros(2), t1,
-                sched.beta / 2.0, PURE, CFG, gen, span=(0, half), domain=inst.domain,
+                epoch_growth_solver, first, inst.constants.L, np.zeros(2), t1,
+                sched.beta / 2.0, PURE, CFG, gen,
             )
             d_int = interpolation_width(512, inst.constants, 2, PURE, sched.beta, scale)
             trust = Ball(phase1.point, min(d_int / 2.0, inst.domain.diameter))
@@ -376,7 +377,7 @@ def test_default_schedule_feasible_path():
     assert s.m == max(2, math.ceil(raw))
     assert s.T == n // s.m
     assert s.beta == float(n) ** -1.0
-    assert s.mu == 1.0 and s.constant_scale == 1e-4
+    assert s.constant_scale == 1e-4
     assert s.T * s.m <= n
 
 

@@ -133,15 +133,13 @@ def test_instance_cross_validation():
 
 def test_schedule_validation():
     s = Schedule(T=4, m=512, beta=0.05)
-    assert s.mu == 1.0 and s.constant_scale == 1.0
+    assert s.constant_scale == 1.0
     with pytest.raises(ValueError):
         Schedule(T=0, m=1, beta=0.1)
     with pytest.raises(ValueError):
         Schedule(T=1, m=0, beta=0.1)
     with pytest.raises(ValueError):
         Schedule(T=1, m=1, beta=1.0)
-    with pytest.raises(ValueError):
-        Schedule(T=1, m=1, beta=0.1, mu=0.0)
     with pytest.raises(ValueError):
         Schedule(T=1, m=1, beta=0.1, constant_scale=0.0)
 

@@ -42,7 +42,7 @@ G = object()  # placeholder for the noise generator in a run's arguments
 
 # SHA-256 over the points and every trace field of the runs below; any
 # change to a solver's arithmetic, noise order or trace layout moves it
-RUN_DIGEST = "1dfe4850a1c628a3a1ac886c4cf8e95cfb47f58ccb880caa107f4d276cd8ee9b"
+RUN_DIGEST = "e6d30f99eb1615e0deb786d5e97a1d967c3d38afc944767b92e9d2f881f51b37"
 
 
 def _feed_trace(h, trace) -> None:
@@ -55,6 +55,20 @@ def _feed_trace(h, trace) -> None:
         h.update(np.asarray(rec.iterate, dtype=np.float64).tobytes())
     for child in trace.children:
         _feed_trace(h, child)
+
+
+def _restrict(inst, span=None, domain=None, L=None):
+    """inst on samples [lo, hi) of span, in another ball or at another L:
+    how a caller runs a solver on part of an instance."""
+    lo, hi = (0, inst.n) if span is None else span
+    labels = inst.dataset.labels
+    return replace(
+        inst,
+        dataset=Dataset(inst.dataset.points[lo:hi], None if labels is None else labels[lo:hi]),
+        domain=inst.domain if domain is None else domain,
+        constants=inst.constants if L is None else replace(inst.constants, L=L),
+        optimum=None,
+    )
 
 
 def _runs():
@@ -87,8 +101,8 @@ def _runs():
     ):
         L = inst.constants.L
         add(f"interp-{tag}-{bname}", interpolation_localization, inst, x0, contracting, b, CFG, G)
-        add(f"interp-over-{tag}-{bname}", interpolation_localization, inst, x0, loose, b, CFG, G,
-            span=(10, 400), lipschitz=0.8 * L, domain=box, inner_epochs=2)
+        add(f"interp-over-{tag}-{bname}", interpolation_localization,
+            _restrict(inst, (10, 400), box, 0.8 * L), x0, loose, b, CFG, G, inner_epochs=2)
         add(f"adaptive-{tag}-{bname}", adaptive_solver, inst, x0, contracting, b, CFG, G)
         add(f"adaptive-loose-{tag}-{bname}", adaptive_solver, inst, x0, loose, b, CFG, G,
             inner_epochs=2)
@@ -106,18 +120,18 @@ def _runs():
             clipL=L)
         add(f"growth-wrap-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver, inst, L, c, 4,
             0.05, b, CFG, G)
-        add(f"growth-tight-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver, inst, 0.3 * L, c,
-            3, 0.05, b, CFG, G, span=(7, 200), domain=sub)
+        add(f"growth-tight-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver,
+            _restrict(inst, (7, 200), sub), 0.3 * L, c, 3, 0.05, b, CFG, G)
         add(f"erm-raw-{tag}-{bname}", localization_erm, inst, c, 0.05, b, CFG, G, clipL=L)
         add(f"erm-wrap-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, L, c, 0.05, b, CFG, G)
-        add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, 0.3 * L, c, 0.2,
-            b, CFG, G, span=(3, 150), domain=sub)
+        add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm,
+            _restrict(inst, (3, 150), sub), 0.3 * L, c, 0.2, b, CFG, G)
     add("growth-pgd-quad", lipschitz_wrap, epoch_growth_solver, quad, 0.5, x0, 3, 0.05, PURE,
         PGD, G)
-    add("growth-degenerate", epoch_growth_solver, quad, x0, 3, 0.05, PURE, CFG, G, clipL=1.0,
-        domain=point)
-    add("interp-degenerate", interpolation_localization, quad, x0, contracting, PURE, CFG, G,
-        domain=point, inner_epochs=1)
+    add("growth-degenerate", epoch_growth_solver, _restrict(quad, domain=point), x0, 3, 0.05,
+        PURE, CFG, G, clipL=1.0)
+    add("interp-degenerate", interpolation_localization, _restrict(quad, domain=point), x0,
+        contracting, PURE, CFG, G, inner_epochs=1)
     add("interp-early-exit", interpolation_localization, tiny, x0,
         Schedule(T=5, m=2, beta=0.1, constant_scale=1e-300), PURE, CFG, G, inner_epochs=1)
     add("adaptive-tiny-scale", adaptive_solver, quad, x0,
