@@ -95,9 +95,8 @@ from .mechanisms import (
     approx_noise_scale,
     as_generator,
     empirical_epsilon,
-    gaussian_vector,
-    laplace_vector,
     pure_noise_scale,
+    release_noise,
 )
 from .problems import (
     Dataset,

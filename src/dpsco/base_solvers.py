@@ -39,6 +39,16 @@ ball, and the returned point onto the input domain (post-processing, so
 privacy is unaffected). An infinite budget makes every noise scale zero
 and the draw is skipped.
 
+Inputs are validated once, at entry: the public solvers check x0 and
+the plan builders check every release, so ``_execute`` builds no
+``Ball`` and solves each phase (``_phase``, the one closed form and the
+one gradient-descent loop) on raw arrays and a raw (center, radius)
+ball. The noise of a whole run is drawn before its first phase, in one
+``release_noise`` batch over the releases with sigma > 0 in run order
+(depth first). That batch equals the per-release draws bit for bit, but
+a caller-supplied ``Generator`` advances by the whole run's draw even
+when a phase raises.
+
 A solver runs on its whole instance: all n samples, the instance's
 domain and its declared Lipschitz level. To run on a sub-span, inside a
 sub-ball or at another level, build that instance with
@@ -54,15 +64,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Vector, as_point, project_onto_ball
-from .losses import batch_ext_gradients
-from .mechanisms import (
-    approx_noise_scale,
-    as_generator,
-    gaussian_vector,
-    laplace_vector,
-    pure_noise_scale,
-)
+from .geometry import Ball, Vector, _project, as_point
+from .losses import _row_norms, clip_gradients
+from .mechanisms import approx_noise_scale, pure_noise_scale, release_noise
 from .problems import EpochRecord, Instance, PrivacyBudget, RunTrace
 
 
@@ -105,7 +109,8 @@ class SolverResult:
     trace: RunTrace
 
 
-def _closed_form_valid(H: float, domain: Ball, anchors: np.ndarray, clip: float) -> bool:
+def _closed_form_valid(H: float, center: Vector, radius: float, anchors: np.ndarray,
+                       clip: float) -> bool:
     """True when the quadratic closed form equals the clipped-gradient ERM.
 
     Sufficient condition: the largest per-sample gradient anywhere in the
@@ -115,7 +120,7 @@ def _closed_form_valid(H: float, domain: Ball, anchors: np.ndarray, clip: float)
     """
     if math.isinf(clip) or anchors.shape[0] == 0:
         return True
-    reach = np.linalg.norm(anchors - domain.center[None, :], axis=1).max() + domain.radius
+    reach = _row_norms(anchors - center[None, :]).max() + radius
     return H * reach <= clip
 
 
@@ -137,6 +142,8 @@ def solve_regularized_erm(
     within cfg.max_iterations.
     """
     center = as_point(center, inst.d)
+    if domain.d != inst.d:
+        raise ValueError(f"domain has dimension {domain.d}, expected {inst.d}")
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be a positive real, got {eta}")
     if not clip > 0:
@@ -144,47 +151,52 @@ def solve_regularized_erm(
     lo, hi = (0, inst.n) if span is None else (int(span[0]), int(span[1]))
     if not (0 <= lo < hi <= inst.n):
         raise ValueError(f"span {span} out of range for {inst.n} samples")
+    return _phase(inst, center, eta, domain.center, domain.radius, cfg, lo, hi, clip, tolerance)
+
+
+def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
+    """``solve_regularized_erm`` on validated inputs and a raw ball: the
+    one closed form and the one gradient-descent loop."""
     n0 = hi - lo
     pts = inst.dataset.points[lo:hi]
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
     reg = 2.0 / (eta * n0)  # gradient coefficient of the proximal term
     tol = cfg.tolerance if tolerance is None else max(tolerance, cfg.tolerance)
+    fam, hook = inst.family, cfg.gradient_hook
 
-    def consumed_at(x: Vector) -> float:
-        _, norms = batch_ext_gradients(inst.family, x, pts, labels, clip)
-        if cfg.gradient_hook is not None:
-            cfg.gradient_hook(norms)
-        return float(norms.max()) if norms.size else 0.0
+    def ext_gradients(x: Vector) -> tuple[np.ndarray, np.ndarray]:
+        grads, norms = clip_gradients(fam.gradients(x, pts, labels), clip)
+        if hook is not None:
+            hook(norms)
+        return grads, norms
 
-    fam = inst.family
     anchors = fam.anchors(pts) if cfg.exact_quadratic and fam.anchors is not None else None
-    if anchors is not None and _closed_form_valid(fam.H, domain, anchors, clip):
+    if anchors is not None and _closed_form_valid(fam.H, ball_center, radius, anchors, clip):
         k = anchors.shape[0]
         if k == 0:
-            best = project_onto_ball(center, domain)
-            return best, consumed_at(best)
-        # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H in
-        # the last bit, and this rounding is part of every recorded run
-        alpha = fam.H * k / n0
-        anchor_mean = anchors.mean(axis=0)
-        unconstrained = (alpha * anchor_mean + reg * center) / (alpha + reg)
-        best = project_onto_ball(unconstrained, domain)
-        return best, consumed_at(best)
+            best = _project(center, ball_center, radius)
+        else:
+            # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
+            # in the last bit, and this rounding is part of every recorded run
+            alpha = fam.H * k / n0
+            anchor_mean = np.add.reduce(anchors, axis=0) / k  # .mean(axis=0), bit for bit
+            best = _project((alpha * anchor_mean + reg * center) / (alpha + reg),
+                            ball_center, radius)
+        _, norms = ext_gradients(best)
+        return best, float(norms.max()) if norms.size else 0.0
 
     # projected gradient descent; the proximal term makes the objective
     # reg-strongly convex so this contracts linearly
     step = 1.0 / (inst.constants.H + reg)
-    x = project_onto_ball(center, domain)
+    x = _project(center, ball_center, radius)
     max_consumed = 0.0
     move = math.inf
     for _ in range(cfg.max_iterations):
-        grads, norms = batch_ext_gradients(inst.family, x, pts, labels, clip)
-        if cfg.gradient_hook is not None:
-            cfg.gradient_hook(norms)
+        grads, norms = ext_gradients(x)
         if norms.size:
             max_consumed = max(max_consumed, float(norms.max()))
         g = grads.mean(axis=0) + reg * (x - center)
-        x_next = project_onto_ball(x - step * g, domain)
+        x_next = _project(x - step * g, ball_center, radius)
         move = float(np.linalg.norm(x - x_next)) / step
         x = x_next
         if move <= tol:
@@ -316,26 +328,38 @@ def growth_plan(
     return Plan(tuple(steps), n_span - T * n0)
 
 
-def _execute(inst, plan, x, domain, budget, cfg, gen, extension):
-    """Walk ``plan`` from x inside ``domain``: the one place a phase is
-    solved, noised and recorded. Returns the end point projected onto
-    the domain (its centre for an empty plan) and the run's trace."""
+def _leaf_sigmas(plan: Plan) -> list[float]:
+    """Noise scales of the releases that draw noise, in run order."""
+    sigmas = []
+    for step in plan.steps:
+        if step.sub is not None:
+            sigmas += _leaf_sigmas(step.sub)
+        elif step.sigma > 0:
+            sigmas.append(step.sigma)
+    return sigmas
+
+
+def _execute(inst, plan, x, center, radius, cfg, noise, extension):
+    """Walk ``plan`` from x inside the ball (center, radius): the one
+    place a phase is solved, noised and recorded. ``noise`` yields the
+    run's pre-drawn noise rows in release order. Returns the end point
+    projected onto the ball (its centre for an empty plan) and the run's
+    trace."""
     if not plan.steps:
-        return domain.center.copy(), RunTrace(epochs=(), dropped=plan.dropped, note=plan.note)
-    noise = gaussian_vector if budget.delta > 0 else laplace_vector
+        return center.copy(), RunTrace(epochs=(), dropped=plan.dropped, note=plan.note)
     records, children, max_consumed = [], [], 0.0
     for index, step in enumerate(plan.steps, start=1):
-        ball = domain if step.radius is None else Ball(x, step.radius)
+        c, r = (center, radius) if step.radius is None else (x, step.radius)
         if step.sub is None:
-            x, consumed = solve_regularized_erm(
-                inst, x, step.eta, ball, cfg, span=step.span,
-                clip=step.clip if extension else math.inf,
-                tolerance=step.sigma / 100.0 if step.sigma > 0 else None,
+            x, consumed = _phase(
+                inst, x, step.eta, c, r, cfg, *step.span,
+                step.clip if extension else math.inf,
+                step.sigma / 100.0 if step.sigma > 0 else None,
             )
             if step.sigma > 0:
-                x = x + noise(step.sigma, inst.d, gen)
+                x = x + next(noise)
         else:
-            x, child = _execute(inst, step.sub, x, ball, budget, cfg, gen, extension)
+            x, child = _execute(inst, step.sub, x, c, r, cfg, noise, extension)
             children.append(child)
             consumed = child.max_consumed_gradient
         max_consumed = max(max_consumed, consumed)
@@ -344,12 +368,16 @@ def _execute(inst, plan, x, domain, budget, cfg, gen, extension):
                 EpochRecord(index, step.diameter, step.clip, x, step.sigma, step.span)
             )
     trace = RunTrace(tuple(records), plan.dropped, tuple(children), max_consumed, plan.note)
-    return project_onto_ball(x, domain), trace
+    return _project(x, center, radius), trace
 
 
 def _run(inst, plan, x, budget, cfg, rng, extension) -> SolverResult:
-    """Execute a top-level plan from x inside the instance's domain."""
-    point, trace = _execute(inst, plan, x, inst.domain, budget, cfg, as_generator(rng), extension)
+    """Execute a top-level plan from a validated x inside the instance's
+    domain, with every release's noise drawn up front in one batch."""
+    noise = release_noise(_leaf_sigmas(plan), inst.d, rng, gaussian=budget.delta > 0)
+    point, trace = _execute(
+        inst, plan, x, inst.domain.center, inst.domain.radius, cfg, iter(noise), extension
+    )
     return SolverResult(point=point, trace=trace)
 
 

@@ -170,6 +170,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"inner_epochs is only supported for the {', '.join(_LOCALIZING)} solvers"
             )
+        # keys with a default the run never reads: only the default is accepted
+        hinge = self.family == SmoothedHingeMargin.tag
+        for name, unread, reader in (
+            ("margin", not hinge, f"the {SmoothedHingeMargin.tag} family"),
+            ("H", hinge, "the quadratic families"),
+            ("xstar_offset", hinge, "the quadratic families"),
+            ("constant_scale", self.solver not in _LOCALIZING,
+             f"the {', '.join(_LOCALIZING)} solvers"),
+        ):
+            if unread and getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ValueError(f"{name} is only supported for {reader}")
         for name in ("T", "m"):
             if getattr(self, name) is not None and self.solver == "localization-erm":
                 raise ValueError(f"{name} is not supported for the localization-erm solver")

@@ -7,6 +7,7 @@ rest of the package can assume finite, one-dimensional inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,14 @@ def project_onto_ball(x, ball: Ball) -> Vector:
     Idempotent and 1-Lipschitz; interior points come back unchanged
     (same values, fresh array).
     """
-    x = as_point(x, ball.d)
-    offset = x - ball.center
-    dist = float(np.linalg.norm(offset))
-    if dist <= ball.radius:
+    return _project(as_point(x, ball.d), ball.center, ball.radius)
+
+
+def _project(x: Vector, center: Vector, radius: float) -> Vector:
+    """``project_onto_ball`` on a validated point and a raw (center,
+    radius) pair; the distance is ``np.linalg.norm``'s, bit for bit."""
+    offset = x - center
+    dist = math.sqrt(offset.dot(offset))
+    if dist <= radius:
         return x.copy()
-    return ball.center + offset * (ball.radius / dist)
+    return center + offset * (radius / dist)

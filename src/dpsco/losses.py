@@ -283,6 +283,12 @@ def batch_gradients(family: LossFamily, x, points: np.ndarray, labels=None) -> n
     return family.gradients(as_point(x), points, labels)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: ``np.linalg.norm(rows, axis=1)``'s
+    arithmetic, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale rows with norm above ``clip`` back onto the clip sphere.
 
@@ -291,7 +297,7 @@ def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarr
     arithmetic bitwise unchanged. Consumed norms are recomputed from the
     returned rows, not assumed.
     """
-    norms = np.linalg.norm(grads, axis=1)
+    norms = _row_norms(grads)
     if not math.isfinite(clip):
         return grads, norms
     mask = norms > clip
@@ -300,7 +306,7 @@ def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarr
     out = grads.copy()
     out[mask] *= (clip / norms[mask])[:, None]
     consumed = norms.copy()
-    consumed[mask] = np.linalg.norm(out[mask], axis=1)
+    consumed[mask] = _row_norms(out[mask])
     return out, consumed
 
 

@@ -2,7 +2,8 @@
 
 All randomness flows through named :class:`RngStream` objects (seed plus
 stream id, PCG64 underneath) so any run can be replayed bit for bit.
-Noise-scale formulas are tiny but load-bearing: output perturbation adds
+``release_noise`` draws the noise of many releases at once. Noise-scale
+formulas are tiny but load-bearing: output perturbation adds
 per-coordinate Laplace noise of scale
 
     sigma = 4 L eta sqrt(d) / eps          (pure DP)
@@ -60,22 +61,26 @@ def as_generator(rng) -> np.random.Generator:
     raise ValueError(f"need an RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def laplace_vector(sigma: float, d: int, rng) -> np.ndarray:
-    """d i.i.d. Laplace(0, sigma) coordinates (std sigma * sqrt(2) each)."""
-    if not sigma > 0:
-        raise ValueError(f"noise scale must be positive, got {sigma}")
+def release_noise(sigmas, d: int, rng, gaussian: bool) -> np.ndarray:
+    """Noise for P releases in one draw: row i holds d i.i.d. coordinates
+    of scale ``sigmas[i]``, Gaussian N(0, sigma^2) when ``gaussian`` and
+    Laplace(0, sigma) (std sigma * sqrt(2)) otherwise.
+
+    The draw is ``(P, d)`` unit-scale variates times ``sigmas[:, None]``,
+    which on numpy's Generator equals P successive ``laplace(0, sigma_i,
+    d)`` (or ``normal``) calls bit for bit and leaves the generator in the
+    same state.
+    """
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if sigmas.ndim != 1:
+        raise ValueError(f"noise scales must be one-dimensional, got shape {sigmas.shape}")
+    if not np.all(sigmas > 0):
+        raise ValueError(f"noise scales must be positive, got {sigmas}")
     if not (isinstance(d, int) and d >= 0):
         raise ValueError(f"dimension must be a nonnegative integer, got {d}")
-    return as_generator(rng).laplace(0.0, sigma, size=d)
-
-
-def gaussian_vector(sigma: float, d: int, rng) -> np.ndarray:
-    """d i.i.d. N(0, sigma^2) coordinates."""
-    if not sigma > 0:
-        raise ValueError(f"noise scale must be positive, got {sigma}")
-    if not (isinstance(d, int) and d >= 0):
-        raise ValueError(f"dimension must be a nonnegative integer, got {d}")
-    return as_generator(rng).normal(0.0, sigma, size=d)
+    gen = as_generator(rng)
+    draw = gen.normal if gaussian else gen.laplace
+    return draw(0.0, 1.0, size=(sigmas.shape[0], d)) * sigmas[:, None]
 
 
 def pure_noise_scale(L: float, eta: float, d: int, eps: float) -> float:

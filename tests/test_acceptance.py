@@ -33,12 +33,10 @@ from dpsco import (
     approx_noise_scale,
     epoch_growth_solver,
     excess_risk,
-    gaussian_vector,
     growth_closure_check,
     interpolation_certificate,
     interpolation_localization,
     is_interpolating,
-    laplace_vector,
     lip_ext_gradient,
     lip_ext_value,
     lipschitz_wrap,
@@ -49,6 +47,7 @@ from dpsco import (
     make_noisy_least_squares,
     pinch_check,
     pure_noise_scale,
+    release_noise,
     stability_bound_check,
     superefficiency_construct,
 )
@@ -319,9 +318,9 @@ def test_criterion_09_noise_calibration():
         rec.noise_scale == approx_noise_scale(L, eta * 2.0 ** (-4 * rec.index), 1.0, 1e-6)
         for rec in gauss.trace.epochs
     )
-    lap = laplace_vector(2.0, 1_000_000, RngStream(11, 0))
+    lap = release_noise([2.0], 1_000_000, RngStream(11, 0), gaussian=False)[0]
     lap_err = abs(float(lap.std()) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
-    gau = gaussian_vector(1.5, 1_000_000, RngStream(12, 0))
+    gau = release_noise([1.5], 1_000_000, RngStream(12, 0), gaussian=True)[0]
     gau_err = abs(float(gau.std()) - 1.5) / 1.5
     ok = pure_exact and gauss_exact and lap_err <= 0.01 and gau_err <= 0.01
     _report(

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsco import (
     Ball,
@@ -25,7 +27,14 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
-from dpsco.hardness import make_noiseless_least_squares, make_noisy_least_squares
+from dpsco.base_solvers import _closed_form_valid, _phase
+from dpsco.hardness import (
+    LowerBoundSpec,
+    make_lower_bound_instance,
+    make_margin_classification,
+    make_noiseless_least_squares,
+    make_noisy_least_squares,
+)
 
 CFG = InnerSolveConfig()
 PURE = PrivacyBudget(1.0, 0.0)
@@ -106,6 +115,8 @@ def test_regularized_erm_span_and_validation():
         solve_regularized_erm(inst, [0.0], 0.0, inst.domain, CFG)
     with pytest.raises(ValueError):
         solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, clip=0.0)
+    with pytest.raises(ValueError, match="domain has dimension"):
+        solve_regularized_erm(inst, [0.0], 1.0, Ball(np.zeros(2), 1.0), CFG)
 
 
 def test_regularized_erm_convergence_error_carries_gradient_norm():
@@ -124,6 +135,60 @@ def test_gradient_hook_sees_consumed_norms():
     cfg = InnerSolveConfig(gradient_hook=lambda norms: seen.append(norms.copy()))
     solve_regularized_erm(inst, [0.0], 1.0, inst.domain, cfg, clip=1.0)
     assert seen and np.all(np.concatenate(seen) <= 1.0 + 1e-12)
+
+
+# 200 samples each; the indicator's first 100 rows are off, so a span
+# inside [0, 100) is a block with no anchor (k = 0)
+_PHASE_INSTANCES = {
+    "quad": make_noisy_least_squares(2, 200, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0)),
+    "ind": make_lower_bound_instance(LowerBoundSpec(d=2, n=200, k=100, v=[0.5, 0.0], H=1.0)),
+    "hinge": make_margin_classification(3, 200, 0.25, RngStream(2, 0)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    tag=st.sampled_from(sorted(_PHASE_INSTANCES)),
+    span=st.tuples(st.integers(0, 199), st.integers(1, 200)).filter(lambda s: s[0] < s[1]),
+    center=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    ball_center=st.lists(st.floats(-0.5, 0.4), min_size=3, max_size=3),  # never the anchor v
+    radius=st.floats(0.0, 1.5),
+    eta=st.floats(1e-2, 1.0),
+    clip_factor=st.one_of(st.just(math.inf), st.floats(0.1, 3.0)),
+)
+@example(tag="ind", span=(10, 60), center=[0.3, -0.2, 0.0], ball_center=[0.1, 0.1, 0.0],
+         radius=0.4, eta=0.5, clip_factor=0.5)  # k = 0: no anchor pulls
+@example(tag="quad", span=(0, 200), center=[0.9, 0.9, 0.0], ball_center=[-0.5, 0.0, 0.0],
+         radius=1.0, eta=0.5, clip_factor=0.3)  # clip below the ball's reach
+def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, radius, eta,
+                                                clip_factor):
+    # the executor hands the phase raw arrays and a raw (center, radius)
+    # ball; the public solve validates, builds a Ball and must agree bit for bit
+    inst = _PHASE_INSTANCES[tag]
+    d, (lo, hi) = inst.d, span
+    x, c = np.array(center[:d]), np.array(ball_center[:d])
+    fam, pts = inst.family, inst.dataset.points[lo:hi]
+    anchors = fam.anchors(pts) if fam.anchors is not None else None
+    if anchors is not None and anchors.shape[0]:
+        # the largest gradient the ball can produce: below it the closed
+        # form is invalid and the phase falls back to gradient descent
+        reach = fam.H * (np.linalg.norm(anchors - c, axis=1).max() + radius)
+        clip = clip_factor * reach
+        assert _closed_form_valid(fam.H, c, radius, anchors, clip) == (clip_factor >= 1.0)
+    else:
+        clip = clip_factor
+    seen = {"public": [], "raw": []}
+
+    def cfg(side):
+        return InnerSolveConfig(tolerance=1e-6, gradient_hook=lambda n: seen[side].append(n))
+
+    public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg("public"),
+                                   span=span, clip=clip, tolerance=1e-5)
+    raw = _phase(inst, x, eta, c, radius, cfg("raw"), lo, hi, clip, 1e-5)
+    assert public[0].tobytes() == raw[0].tobytes()
+    assert public[1] == raw[1]
+    assert len(seen["public"]) == len(seen["raw"])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen["public"], seen["raw"]))
 
 
 # ------------------------------------------------------------- localization

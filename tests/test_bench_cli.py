@@ -427,6 +427,12 @@ def test_cli_non_finite_config_value_is_rejected_before_any_generator(key, value
         ("interpolation", "quadratic-anchor", "eta=0.1"),
         ("localization-erm", "indicator-quadratic", "noise_std=0.7"),
         ("localization-erm", "smoothed-hinge-margin", "noise_std=0.7"),
+        ("localization-erm", "quadratic-anchor", "margin=0.5"),
+        ("interpolation", "indicator-quadratic", "margin=0.5"),
+        ("localization-erm", "smoothed-hinge-margin", "H=2.0"),
+        ("epoch-growth", "smoothed-hinge-margin", "xstar_offset=0.25"),
+        ("epoch-growth", "quadratic-anchor", "constant_scale=0.5"),
+        ("localization-erm", "smoothed-hinge-margin", "constant_scale=2.0"),
     ],
     ids=lambda v: v,
 )

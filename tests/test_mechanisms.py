@@ -1,4 +1,4 @@
-"""Random streams, noise vectors, noise-scale formulas, and the audit."""
+"""Random streams, release noise, noise-scale formulas, and the audit."""
 
 import math
 
@@ -14,9 +14,8 @@ from dpsco import (
     approx_noise_scale,
     as_generator,
     empirical_epsilon,
-    gaussian_vector,
-    laplace_vector,
     pure_noise_scale,
+    release_noise,
 )
 
 # ---------------------------------------------------------------- streams
@@ -55,18 +54,18 @@ def test_as_generator_accepts_streams_and_generators():
         as_generator(42)
 
 
-# ------------------------------------------------------------ noise vectors
+# ------------------------------------------------------------ release noise
 
 
 def test_laplace_vector_moments():
-    draws = laplace_vector(2.0, 1_000_000, RngStream(11, 0))
+    draws = release_noise([2.0], 1_000_000, RngStream(11, 0), gaussian=False)[0]
     assert abs(draws.std() - 2.0 * math.sqrt(2.0)) <= 0.01 * 2.0 * math.sqrt(2.0)
     assert abs(draws.mean()) <= 0.02
 
 
 def test_gaussian_vector_moments_and_tail():
     sigma = 1.5
-    draws = gaussian_vector(sigma, 1_000_000, RngStream(12, 0))
+    draws = release_noise([sigma], 1_000_000, RngStream(12, 0), gaussian=True)[0]
     assert abs(draws.mean()) <= 4.0 * sigma / 1000.0
     assert abs(draws.std() - sigma) <= 0.01 * sigma
     tail = float(np.mean(np.abs(draws) > 1.96 * sigma))
@@ -74,23 +73,42 @@ def test_gaussian_vector_moments_and_tail():
 
 
 def test_noise_vector_edge_cases():
-    assert laplace_vector(1.0, 0, RngStream(0)).shape == (0,)
-    assert gaussian_vector(1.0, 0, RngStream(0)).shape == (0,)
-    for bad in (0.0, -1.0):
+    for gaussian in (False, True):
+        assert release_noise([1.0], 0, RngStream(0), gaussian).shape == (1, 0)
+        assert release_noise([], 3, RngStream(0), gaussian).shape == (0, 3)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                release_noise([1.0, bad], 3, RngStream(0), gaussian)
         with pytest.raises(ValueError):
-            laplace_vector(bad, 3, RngStream(0))
+            release_noise([1.0], -1, RngStream(0), gaussian)
         with pytest.raises(ValueError):
-            gaussian_vector(bad, 3, RngStream(0))
-    with pytest.raises(ValueError):
-        laplace_vector(1.0, -1, RngStream(0))
+            release_noise([[1.0]], 3, RngStream(0), gaussian)
 
 
 def test_noise_vectors_replay_per_stream():
-    a = laplace_vector(1.0, 16, RngStream(9, 4))
-    b = laplace_vector(1.0, 16, RngStream(9, 4))
-    c = laplace_vector(1.0, 16, RngStream(9, 5))
+    a = release_noise([1.0], 16, RngStream(9, 4), gaussian=False)
+    b = release_noise([1.0], 16, RngStream(9, 4), gaussian=False)
+    c = release_noise([1.0], 16, RngStream(9, 5), gaussian=False)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 9),
+    sigmas=st.lists(st.floats(1e-12, 1e6), min_size=0, max_size=12),
+    gaussian=st.booleans(),
+)
+def test_release_noise_equals_one_draw_per_release(seed, d, sigmas, gaussian):
+    # the executor draws a run's noise in one batch; that batch must be the
+    # per-release draws byte for byte, with the generator left where they leave it
+    batch_gen, loop_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    batch = release_noise(sigmas, d, batch_gen, gaussian)
+    draw = loop_gen.normal if gaussian else loop_gen.laplace
+    loop = np.array([draw(0.0, s, size=d) for s in sigmas]).reshape(len(sigmas), d)
+    assert batch.tobytes() == loop.tobytes()
+    assert batch_gen.bit_generator.state == loop_gen.bit_generator.state
 
 
 # ------------------------------------------------------------ scale formulas
