@@ -18,6 +18,7 @@ domain-boundary anchor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ from .problems import (
 # -- parameter records -------------------------------------------------------
 
 
+def _check_sizes(d, n) -> None:
+    for name, value in (("d", d), ("n", n)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
 @dataclass(frozen=True)
 class LowerBoundSpec:
     """Indicator-quadratic lower-bound construction: n - k off samples,
@@ -50,10 +57,7 @@ class LowerBoundSpec:
     H: float
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_sizes(self.d, self.n)
         if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
             raise ValueError(f"k must satisfy 1 <= k <= n, got {self.k}")
         object.__setattr__(self, "v", as_point(self.v, self.d).copy())
@@ -103,6 +107,18 @@ class SuperefficiencyParams:
 # -- generators --------------------------------------------------------------
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of a (m, d) with b (m, d) or (d,).
+
+    A stack of 1 x d by d x 1 products runs numpy's vector dot kernel on
+    each row, so entry i is bit-equal to ``a[i] @ b[i]`` (or ``a[i] @ b``)
+    and ``sqrt(_row_dots(a, a))[i]`` to ``np.linalg.norm(a[i])``. A plain
+    ``a @ b``, ``einsum`` or ``add.reduce(a * b, axis=1)`` sums in another
+    order and can differ in the last bits once d > 1.
+    """
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def make_noiseless_least_squares(
     d: int, n: int, xstar, H: float, *, radius: float | None = None
 ) -> Instance:
@@ -111,6 +127,7 @@ def make_noiseless_least_squares(
     Population risk (H/2)||x - xstar||^2, so the growth coefficient is
     exactly H. Deterministic, so it takes no random stream.
     """
+    _check_sizes(d, n)
     xstar = as_point(xstar, d)
     R = float(radius) if radius is not None else max(1.0, 2.0 * float(np.linalg.norm(xstar)))
     domain = Ball(np.zeros(d), R)
@@ -134,6 +151,7 @@ def make_noisy_least_squares(
 ) -> Instance:
     """Least squares with anchors xstar + noise_std * N(0, I): no longer
     interpolating, but still H-growth around the anchor mean."""
+    _check_sizes(d, n)
     xstar = as_point(xstar, d)
     if not 0 < noise_std < math.inf:
         raise ValueError(f"noise_std must be positive and finite, got {noise_std}")
@@ -165,31 +183,38 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     labels agree with the sign, so the witness classifies with margin to
     spare: moves of margin/2 along any feature direction keep every
     sample loss at zero.
+
+    Features are drawn by rejection in batches: each pass draws exactly
+    the number of rows still needed and keeps those that pass. No row is
+    drawn that a one-row-at-a-time loop would not draw, so the points,
+    labels and the generator's final state equal that loop's bit for bit.
     """
+    _check_sizes(d, n)
     if not 0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
     gen = as_generator(rng)
     direction = gen.standard_normal(d)
     direction /= np.linalg.norm(direction)
     witness = 2.0 * margin * math.sqrt(d) * direction
+    bound = 1.5 * margin
     rows = []
     labels = []
-    while len(rows) < n:
-        a = gen.standard_normal(d)
-        norm = float(np.linalg.norm(a))
-        if norm < 1e-12:
-            continue
-        a /= norm
-        score = float(a @ witness)
-        if abs(score) < 1.5 * margin:
-            continue  # too close to the boundary; resample
-        rows.append(a)
-        labels.append(1.0 if score > 0 else -1.0)
+    have = 0
+    while have < n:
+        a = gen.standard_normal((n - have, d))
+        norms = np.sqrt(_row_dots(a, a))
+        drawn = norms >= 1e-12
+        a = a[drawn] / norms[drawn, None]
+        score = _row_dots(a, witness)
+        keep = np.abs(score) >= bound  # the rest lie too close to the boundary
+        rows.append(a[keep])
+        labels.append(np.where(score[keep] > 0, 1.0, -1.0))
+        have += rows[-1].shape[0]
     family = SmoothedHingeMargin(margin)
     H = 1.0 / family.tau  # max ||a||^2 / tau at unit-norm features
     inst = Instance(
         family=family,
-        dataset=Dataset(np.array(rows), np.array(labels)),
+        dataset=Dataset(np.concatenate(rows), np.concatenate(labels)),
         domain=Ball(np.zeros(d), 2.0 * float(np.linalg.norm(witness))),
         constants=LossConstants(L=1.0, H=H, growth=0.0, kappa=2.0, kappa_floor=2.0),
         optimum=Optimum(witness),

@@ -225,3 +225,32 @@ def raw_loss_for(kind: str, q: Query, margin: float = 1.0, tau: float = 0.5, H: 
     if kind == "hinge":
         return hinge_loss(margin, tau, q.payload, q.label)
     raise ValueError(f"unknown query kind {kind!r}")
+
+
+# -- generator references ---------------------------------------------------------
+
+
+def margin_features_per_row(d: int, n: int, margin: float, gen: np.random.Generator):
+    """(points, labels, witness) of the margin generator, one row per draw.
+
+    The one-row-at-a-time rejection loop that the library's batched draw
+    must reproduce bit for bit: draw one standard-normal row, skip it if
+    its norm is below 1e-12, normalise it, and keep it when
+    |<a, witness>| >= 1.5 * margin, labelled by the sign.
+    """
+    direction = gen.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    witness = 2.0 * margin * math.sqrt(d) * direction
+    rows, labels = [], []
+    while len(rows) < n:
+        a = gen.standard_normal(d)
+        norm = float(np.linalg.norm(a))
+        if norm < 1e-12:
+            continue
+        a /= norm
+        score = float(a @ witness)
+        if abs(score) < 1.5 * margin:
+            continue
+        rows.append(a)
+        labels.append(1.0 if score > 0 else -1.0)
+    return np.array(rows), np.array(labels), witness

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracles
 
 from dpsco import (
     Ball,
@@ -112,6 +116,68 @@ def test_margin_classification_witness_is_slack():
             assert np.all(loss_gradient(fam, x, a, label=label) == 0.0)
     with pytest.raises(ValueError):
         make_margin_classification(3, 10, 0.0, RngStream(0))
+
+
+def _assert_matches_per_row_draw(d, n, margin, seed):
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    inst = make_margin_classification(d, n, margin, gen)
+    points, labels, witness = _oracles.margin_features_per_row(d, n, margin, ref_gen)
+    assert inst.dataset.points.shape == points.shape
+    assert inst.dataset.points.tobytes() == points.tobytes()
+    assert inst.dataset.labels.tobytes() == labels.tobytes()
+    assert inst.optimum.point.tobytes() == witness.tobytes()
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(1, 400),
+    margin=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margin_batched_draw_equals_per_row_draw(d, n, margin, seed):
+    # the generator draws the rows still needed in one batch per pass; that
+    # must be the one-row-at-a-time rejection loop byte for byte, with the
+    # caller's generator left where the loop leaves it
+    _assert_matches_per_row_draw(d, n, margin, seed)
+
+
+def test_margin_batched_draw_equals_per_row_draw_at_benchmark_shape():
+    _assert_matches_per_row_draw(8, 16384, 0.25, 7)
+
+
+_SIZE_CASES = [
+    pytest.param(
+        *((bad, 4) if name == "d" else (2, bad)),
+        f"{name} must be a positive integer, got {bad}",
+        id=f"{name}={bad}",
+    )
+    for name, bad in (("d", 0), ("d", -1), ("d", 2.0), ("d", True), ("n", 0), ("n", -3), ("n", 5.5))
+]
+_GENERATORS = {
+    "noiseless": lambda d, n: make_noiseless_least_squares(d, n, [0.5, 0.0], 1.0),
+    "noisy": lambda d, n: make_noisy_least_squares(d, n, [0.5, 0.0], 1.0, 0.5, RngStream(0)),
+    "margin": lambda d, n: make_margin_classification(d, n, 0.25, RngStream(0)),
+    "lower-bound": lambda d, n: make_lower_bound_instance(
+        LowerBoundSpec(d=d, n=n, k=1, v=[0.5, 0.0], H=1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+@pytest.mark.parametrize("d, n, message", _SIZE_CASES)
+def test_generators_reject_bad_sizes_at_once(generator, d, n, message):
+    # before the shared check: d = 0 hung the margin generator and built a
+    # 0-dimensional noiseless instance, n = 0 failed deep in the noisy one, a
+    # float n was accepted by the margin generator, and d = True by the spec
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _GENERATORS[generator](d, n)
+
+
+def test_generators_accept_numpy_integer_sizes():
+    inst = make_margin_classification(np.int64(3), np.int64(5), 0.25, RngStream(0))
+    assert inst.dataset.points.shape == (5, 3)
 
 
 def test_lower_bound_instance_population_risk():
