@@ -82,7 +82,6 @@ from .losses import (
     batch_gradients,
     batch_values,
     clip_gradients,
-    lip_ext_argmin,
     lip_ext_gradient,
     lip_ext_value,
     loss_gradient,
@@ -110,8 +109,6 @@ from .problems import (
     UnsupportedFamilyError,
     exact_minimizer,
     excess_risk,
-    instance_from_text,
-    instance_to_text,
     interpolation_certificate,
     is_interpolating,
     population_value,

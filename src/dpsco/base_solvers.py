@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -78,25 +77,26 @@ class ConvergenceError(RuntimeError):
         self.gradient_norm = gradient_norm
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a positive real, got {value}")
+
+
 @dataclass(frozen=True)
 class InnerSolveConfig:
-    """Knobs for the regularized ERM solves.
+    """Stopping rule of gradient-descent phases.
 
     tolerance is a floor; each phase actually stops at
     max(tolerance, noise_scale/100) since polishing far below the noise
-    that is about to be added buys nothing. exact_quadratic enables the
-    closed form; gradient_hook, if set, receives every batch of consumed
-    gradient norms (the clipping instrument).
+    that is about to be added buys nothing. A phase that has not stopped
+    after max_iterations steps raises ``ConvergenceError``.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
-    exact_quadratic: bool = True
-    gradient_hook: Callable[[np.ndarray], None] | None = None
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        _check_positive("tolerance", self.tolerance)
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be a positive integer")
 
@@ -144,10 +144,11 @@ def solve_regularized_erm(
     center = as_point(center, inst.d)
     if domain.d != inst.d:
         raise ValueError(f"domain has dimension {domain.d}, expected {inst.d}")
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be a positive real, got {eta}")
+    _check_positive("eta", eta)
     if not clip > 0:
         raise ValueError(f"clip level must be positive, got {clip}")
+    if tolerance is not None:
+        _check_positive("tolerance", tolerance)
     lo, hi = (0, inst.n) if span is None else (int(span[0]), int(span[1]))
     if not (0 <= lo < hi <= inst.n):
         raise ValueError(f"span {span} out of range for {inst.n} samples")
@@ -162,15 +163,8 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
     reg = 2.0 / (eta * n0)  # gradient coefficient of the proximal term
     tol = cfg.tolerance if tolerance is None else max(tolerance, cfg.tolerance)
-    fam, hook = inst.family, cfg.gradient_hook
-
-    def ext_gradients(x: Vector) -> tuple[np.ndarray, np.ndarray]:
-        grads, norms = clip_gradients(fam.gradients(x, pts, labels), clip)
-        if hook is not None:
-            hook(norms)
-        return grads, norms
-
-    anchors = fam.anchors(pts) if cfg.exact_quadratic and fam.anchors is not None else None
+    fam = inst.family
+    anchors = fam.anchors(pts) if fam.anchors is not None else None
     if anchors is not None and _closed_form_valid(fam.H, ball_center, radius, anchors, clip):
         k = anchors.shape[0]
         if k == 0:
@@ -182,7 +176,7 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
             anchor_mean = np.add.reduce(anchors, axis=0) / k  # .mean(axis=0), bit for bit
             best = _project((alpha * anchor_mean + reg * center) / (alpha + reg),
                             ball_center, radius)
-        _, norms = ext_gradients(best)
+        _, norms = clip_gradients(fam.gradients(best, pts, labels), clip)
         return best, float(norms.max()) if norms.size else 0.0
 
     # projected gradient descent; the proximal term makes the objective
@@ -192,7 +186,7 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
     max_consumed = 0.0
     move = math.inf
     for _ in range(cfg.max_iterations):
-        grads, norms = ext_gradients(x)
+        grads, norms = clip_gradients(fam.gradients(x, pts, labels), clip)
         if norms.size:
             max_consumed = max(max_consumed, float(norms.max()))
         g = grads.mean(axis=0) + reg * (x - center)
@@ -244,17 +238,11 @@ def _nested(span: tuple[int, int], radius, diameter, clip: float, sub: Plan) -> 
     return Step(span, radius, diameter, clip, sigma, sub=sub)
 
 
-def _check_clip(clipL: float) -> None:
-    if not (clipL > 0 and math.isfinite(clipL)):
-        raise ValueError(f"clip level must be a positive real, got {clipL}")
-
-
 def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: PrivacyBudget) -> Plan:
     """k = max(1, ceil(ln n)) releases over disjoint slices of n0 = n // k
     samples of [lo, hi); the leftovers are dropped."""
-    _check_clip(clipL)
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be a positive real, got {eta}")
+    _check_positive("clip level", clipL)
+    _check_positive("eta", eta)
     n_span = hi - lo
     k = max(1, math.ceil(math.log(n_span))) if n_span > 1 else 1
     n0 = n_span // k
@@ -311,7 +299,7 @@ def growth_plan(
         T = default_inner_epochs(n_span, kappa_floor)
     if not (isinstance(T, int) and T >= 1):
         raise ValueError(f"T must be a positive integer, got {T}")
-    _check_clip(clipL)
+    _check_positive("clip level", clipL)
     n0 = n_span // T
     if n0 < 1:
         raise ValueError(f"{n_span} samples cannot feed {T} epochs")
@@ -437,5 +425,5 @@ def lipschitz_wrap(solver, inst: Instance, clipL: float, *args, **kwargs) -> Sol
     unwrapped one; with a smaller clipL every consumed gradient norm is
     capped at clipL.
     """
-    _check_clip(clipL)
+    _check_positive("clip level", clipL)
     return solver(inst, *args, clipL=clipL, extension=True, **kwargs)

@@ -20,9 +20,9 @@ Families:
   y <a, x>) with psi(u) = 0 for u <= 0, u^2/(2 tau) on (0, tau], and
   u - tau/2 beyond. Margin-satisfied points pay nothing.
 
-Each family's math lives on its class: ``tag`` and ``params()`` for the
-text format, ``labeled``, batch ``values`` / ``gradients`` over an (n, d)
-payload block, and single-sample ``ext_value`` / ``ext_argmin``. The two
+Each family's math lives on its class: ``tag`` (its sweep id),
+``labeled``, batch ``values`` / ``gradients`` over an (n, d) payload
+block, and the single-sample extension value ``ext_value``. The two
 anchor families also give ``anchors(points)`` (the rows that pull),
 ``weight(k, n)`` (the curvature of an n-sample average around the mean of
 its k anchors) and ``curvatures(points)`` (each row's Hessian is c * I);
@@ -60,9 +60,6 @@ class QuadraticAnchor:
         if not (self.H > 0 and math.isfinite(self.H)):
             raise ValueError(f"curvature H must be positive and finite, got {self.H}")
 
-    def params(self) -> tuple[float, ...]:
-        return (self.H,)
-
     def anchors(self, points: np.ndarray) -> np.ndarray:
         """The payload rows that pull: all of them."""
         return points
@@ -88,14 +85,6 @@ class QuadraticAnchor:
         if H * r <= L:
             return 0.5 * H * r * r
         return L * r - L * L / (2.0 * H)
-
-    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
-        H = self.H
-        diff = x - s
-        r = float(np.linalg.norm(diff))
-        if H * r <= L:
-            return x.copy()
-        return s + (L / (H * r)) * diff
 
 
 @dataclass(frozen=True)
@@ -129,9 +118,6 @@ class IndicatorQuadratic(QuadraticAnchor):
     def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
         return super().ext_value(x, s, label, L) if s.any() else 0.0
 
-    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
-        return super().ext_argmin(x, s, label, L) if s.any() else x.copy()
-
 
 @dataclass(frozen=True)
 class SmoothedHingeMargin:
@@ -157,9 +143,6 @@ class SmoothedHingeMargin:
         if not (0 < self.tau and math.isfinite(self.tau)):
             raise ValueError(f"smoothing width tau must be positive and finite, got {self.tau}")
 
-    def params(self) -> tuple[float, ...]:
-        return (self.margin, self.tau)
-
     def values(self, x: Vector, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         u = self.margin - labels * (points @ x)
         tau = self.tau
@@ -182,22 +165,10 @@ class SmoothedHingeMargin:
         # slope of psi caps at c from u = c*tau onward
         return c * u - c * c * tau / 2.0
 
-    def ext_argmin(self, x: Vector, s: Vector, label, L: float) -> Vector:
-        u = self.margin - label * float(s @ x)
-        a_norm = float(np.linalg.norm(s))
-        if a_norm == 0.0:
-            return x.copy()
-        c = L / a_norm
-        tau = self.tau
-        if c >= 1.0 or u <= c * tau:
-            return x.copy()
-        # walk against the margin gradient until the slope drops to c
-        return x + ((u - c * tau) / (a_norm * a_norm)) * label * s
-
 
 LossFamily = QuadraticAnchor | IndicatorQuadratic | SmoothedHingeMargin
 
-# tag -> class: the one registry of loss families (text format, sweep ids)
+# tag -> class: the one registry of loss families, the ones an Instance accepts
 FAMILIES = {cls.tag: cls for cls in (QuadraticAnchor, IndicatorQuadratic, SmoothedHingeMargin)}
 
 
@@ -262,12 +233,6 @@ def lip_ext_gradient(family: LossFamily, query: ExtensionQuery) -> Vector:
         family, *_one_row(query.x, query.payload, query.label), query.clipL
     )
     return grads[0]
-
-
-def lip_ext_argmin(family: LossFamily, query: ExtensionQuery) -> Vector:
-    """A point y(x) attaining inf_y f(y) + L ||x - y||."""
-    _check_labels(family, query.label)
-    return family.ext_argmin(query.x, query.payload, query.label, query.clipL)
 
 
 # -- batch interface --------------------------------------------------------

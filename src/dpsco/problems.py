@@ -5,23 +5,6 @@ ball, and the declared analytic constants. Constants are *declared*, not
 derived: generators in :mod:`dpsco.hardness` set honest values, and every
 instance with a known optimum is checked to have zero excess risk there
 at construction time.
-
-Instances serialize to a line-oriented text format (one payload row per
-sample, floats written with repr so round-trips are exact)::
-
-    dpsco-instance 1
-    family quadratic-anchor
-    params 1.0
-    constants 3.0 1.0 1.0 2.0 2.0
-    domain 0.0 0.0 1.0
-    optimum point 0.5 0.0
-    samples 2 2 nolabels
-    0.5 0.0
-    0.5 0.0
-
-The ``params`` line carries family shape parameters (H for the quadratic
-families; margin and tau for the hinge). ``constants`` is L, H, growth,
-kappa, kappa_floor. ``domain`` is the center followed by the radius.
 """
 
 from __future__ import annotations
@@ -120,43 +103,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Known population minimizer: a point, or an affine set <a, x> = b.
-
-    ``point`` is always a concrete witness; for the plane form it must
-    lie on the plane and distances are measured to the whole plane.
-    """
+    """Known population minimizer, as a concrete witness point."""
 
     point: Vector
-    normal: Vector | None = None
-    offset: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "point", as_point(self.point).copy())
         self.point.setflags(write=False)
-        if (self.normal is None) != (self.offset is None):
-            raise ValueError("plane form needs both a normal and an offset")
-        if self.normal is not None:
-            normal = as_point(self.normal, self.point.shape[0]).copy()
-            if not normal.any():
-                raise ValueError("plane normal must be nonzero")
-            normal.setflags(write=False)
-            object.__setattr__(self, "normal", normal)
-            gap = abs(float(normal @ self.point) - float(self.offset))
-            if gap > 1e-9 * max(1.0, abs(float(self.offset))):
-                raise ValueError("witness point does not lie on the stated plane")
-
-    @property
-    def is_plane(self) -> bool:
-        return self.normal is not None
-
-    def distance(self, x) -> float:
-        """Distance from x to the optimum set."""
-        x = as_point(x, self.point.shape[0])
-        if self.normal is None:
-            return float(np.linalg.norm(x - self.point))
-        return abs(float(self.normal @ x) - float(self.offset)) / float(
-            np.linalg.norm(self.normal)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,96 +263,3 @@ class RunTrace:
     max_consumed_gradient: float = 0.0
     note: str = ""
 
-
-# -- text serialization ------------------------------------------------------
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def instance_to_text(inst: Instance) -> str:
-    fam = inst.family
-    lines = ["dpsco-instance 1", f"family {fam.tag}", f"params {_fmt(fam.params())}"]
-    c = inst.constants
-    lines.append(f"constants {_fmt([c.L, c.H, c.growth, c.kappa, c.kappa_floor])}")
-    lines.append(f"domain {_fmt(list(inst.domain.center) + [inst.domain.radius])}")
-    if inst.optimum is None:
-        lines.append("optimum none")
-    elif inst.optimum.is_plane:
-        lines.append(
-            "optimum plane "
-            + _fmt(list(inst.optimum.normal) + [inst.optimum.offset] + list(inst.optimum.point))
-        )
-    else:
-        lines.append(f"optimum point {_fmt(inst.optimum.point)}")
-    labeled = inst.dataset.labels is not None
-    lines.append(f"samples {inst.n} {inst.d} {'labels' if labeled else 'nolabels'}")
-    for i in range(inst.n):
-        row = list(inst.dataset.points[i])
-        if labeled:
-            row.append(inst.dataset.labels[i])
-        lines.append(_fmt(row))
-    return "\n".join(lines) + "\n"
-
-
-def instance_from_text(text: str) -> Instance:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "dpsco-instance 1":
-        raise ValueError("not a dpsco instance (missing 'dpsco-instance 1' header)")
-
-    def take(keyword: str) -> list[str]:
-        line = lines.pop(0)
-        head, *rest = line.split()
-        if head != keyword:
-            raise ValueError(f"expected '{keyword}' line, got {line!r}")
-        return rest
-
-    lines.pop(0)
-    tag = take("family")[0]
-    if tag not in FAMILIES:
-        raise ValueError(f"unknown family tag {tag!r}")
-    params = [float(v) for v in take("params")]
-    try:
-        family = FAMILIES[tag](*params)
-    except TypeError as exc:
-        raise ValueError(f"bad params for family {tag!r}: {exc}") from exc
-    cv = [float(v) for v in take("constants")]
-    constants = LossConstants(L=cv[0], H=cv[1], growth=cv[2], kappa=cv[3], kappa_floor=cv[4])
-    dom = [float(v) for v in take("domain")]
-    domain = Ball(np.array(dom[:-1]), dom[-1])
-    d = domain.d
-    opt_fields = take("optimum")
-    if opt_fields[0] == "none":
-        optimum = None
-    elif opt_fields[0] == "point":
-        optimum = Optimum(np.array([float(v) for v in opt_fields[1:]]))
-    elif opt_fields[0] == "plane":
-        vals = [float(v) for v in opt_fields[1:]]
-        if len(vals) != 2 * d + 1:
-            raise ValueError("plane optimum needs a normal, an offset, and a witness")
-        optimum = Optimum(
-            np.array(vals[d + 1 :]), normal=np.array(vals[:d]), offset=vals[d]
-        )
-    else:
-        raise ValueError(f"unknown optimum form {opt_fields[0]!r}")
-    head = take("samples")
-    n, dd, labeled = int(head[0]), int(head[1]), head[2] == "labels"
-    if dd != d:
-        raise ValueError(f"sample dimension {dd} does not match domain dimension {d}")
-    if len(lines) != n:
-        raise ValueError(f"expected {n} payload rows, found {len(lines)}")
-    rows = [[float(v) for v in ln.split()] for ln in lines]
-    width = d + (1 if labeled else 0)
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"every payload row must have {width} fields")
-    arr = np.array(rows, dtype=np.float64).reshape(n, width)
-    points = arr[:, :d]
-    labels = arr[:, d] if labeled else None
-    return Instance(
-        family=family,
-        dataset=Dataset(points, labels),
-        domain=domain,
-        constants=constants,
-        optimum=optimum,
-    )

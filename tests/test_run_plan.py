@@ -5,6 +5,7 @@ import hashlib
 import math
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
+from dpsco import base_solvers
 from dpsco.hardness import (
     make_lower_bound_instance,
     make_margin_classification,
@@ -33,7 +35,6 @@ from dpsco.hardness import (
 )
 
 CFG = InnerSolveConfig()
-PGD = InnerSolveConfig(exact_quadratic=False)
 PURE = PrivacyBudget(1.0, 0.0)
 GAUSS = PrivacyBudget(1.0, 1e-5)
 FREE = PrivacyBudget(math.inf, 0.0)
@@ -55,6 +56,14 @@ def _feed_trace(h, trace) -> None:
         h.update(np.asarray(rec.iterate, dtype=np.float64).tobytes())
     for child in trace.children:
         _feed_trace(h, child)
+
+
+def _gradient_descent_only(fn):
+    """fn with every phase on gradient descent, the closed form refused."""
+    def run(*args, **kwargs):
+        with mock.patch.object(base_solvers, "_closed_form_valid", lambda *a: False):
+            return fn(*args, **kwargs)
+    return run
 
 
 def _restrict(inst, span=None, domain=None, L=None):
@@ -126,8 +135,8 @@ def _runs():
         add(f"erm-wrap-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, L, c, 0.05, b, CFG, G)
         add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm,
             _restrict(inst, (3, 150), sub), 0.3 * L, c, 0.2, b, CFG, G)
-    add("growth-pgd-quad", lipschitz_wrap, epoch_growth_solver, quad, 0.5, x0, 3, 0.05, PURE,
-        PGD, G)
+    add("growth-pgd-quad", _gradient_descent_only(lipschitz_wrap), epoch_growth_solver, quad,
+        0.5, x0, 3, 0.05, PURE, CFG, G)
     add("growth-degenerate", epoch_growth_solver, _restrict(quad, domain=point), x0, 3, 0.05,
         PURE, CFG, G, clipL=1.0)
     add("interp-degenerate", interpolation_localization, _restrict(quad, domain=point), x0,
