@@ -115,6 +115,47 @@ def test_instance_cross_validation():
         )
 
 
+def test_optimum_point_validation():
+    given = np.array([0.5, 0.0])
+    opt = Optimum(point=given)
+    assert np.array_equal(opt.point, given)
+    with pytest.raises(ValueError):
+        opt.point[0] = 9.0  # frozen
+    given[0] = 9.0  # the caller's array stays its own
+    assert opt.point[0] == 0.5
+    with pytest.raises(ValueError, match="non-finite"):
+        Optimum(point=[np.nan, 0.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Optimum(point=[[0.5, 0.0]])
+    with pytest.raises(ValueError, match="optimum dimension"):
+        _ls_instance([[0.5, 0.0]], optimum=Optimum(point=[0.5]))
+
+
+def test_unlabeled_families_reject_labels():
+    for fam in (QuadraticAnchor(H=1.0), IndicatorQuadratic(H=1.0)):
+        with pytest.raises(ValueError, match="carry no labels"):
+            Instance(
+                family=fam,
+                dataset=Dataset([[1.0, 0.0], [0.0, 1.0]], labels=[1.0, -1.0]),
+                domain=Ball(np.zeros(2), 2.0),
+                constants=LossConstants(L=3.0, H=1.0),
+            )
+
+
+def test_instance_rejects_a_family_outside_the_registry():
+    class Unregistered(QuadraticAnchor):
+        pass
+
+    for fam in (Unregistered(H=1.0), object()):
+        with pytest.raises(ValueError, match="unknown loss family"):
+            Instance(
+                family=fam,
+                dataset=Dataset([[1.0]]),
+                domain=Ball(np.zeros(1), 1.0),
+                constants=LossConstants(L=2.0, H=1.0),
+            )
+
+
 def test_schedule_validation():
     s = Schedule(T=4, m=512, beta=0.05)
     assert s.constant_scale == 1.0
