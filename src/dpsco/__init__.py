@@ -67,7 +67,6 @@ from .interpolation import (
     default_schedule,
     interpolation_localization,
     interpolation_width,
-    kappa_interpolation,
     sample_complexity,
     schedule_block_size,
     shrink_diameter,

@@ -30,14 +30,13 @@ back onto it, and writes its ``EpochRecord``. Innermost first:
   (the d in the second branch becomes sqrt(d ln(1/delta)) when delta>0).
 
 Every sample index is consumed by exactly one release, so a run is
-private at its stated budget by parallel composition. Gradients are
-clipped at the stated Lipschitz level only under ``lipschitz_wrap``
-(``extension=True``); an unwrapped run evaluates raw gradients but still
-uses the stated level for radii and noise. Intermediate noisy iterates
-are used as-is; only the end of a nested plan is projected onto its
-ball, and the returned point onto the input domain (post-processing, so
-privacy is unaffected). An infinite budget makes every noise scale zero
-and the draw is skipped.
+private at its stated budget by parallel composition. Every release
+clips the gradients it consumes at the level its radius and noise are
+calibrated to: the instance's declared L, or the lower level a shrink
+rule sets. Intermediate noisy iterates are used as-is; only the end of
+a nested plan is projected onto its ball, and the returned point onto
+the input domain (post-processing, so privacy is unaffected). An
+infinite budget makes every noise scale zero and the draw is skipped.
 
 Inputs are validated once, at entry: the public solvers check x0 and
 the plan builders check every release, so ``_execute`` builds no
@@ -53,13 +52,14 @@ A solver runs on its whole instance: all n samples, the instance's
 domain and its declared Lipschitz level. To run on a sub-span, inside a
 sub-ball or at another level, build that instance with
 ``dataclasses.replace`` (a new ``Dataset``, ``domain``, or
-``constants`` with another L, and ``optimum=None``).
+``constants`` with another L, and ``optimum=None``); ``lipschitz_wrap``
+builds the last for any solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,8 +97,9 @@ class InnerSolveConfig:
 
     def __post_init__(self):
         _check_positive("tolerance", self.tolerance)
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
-            raise ValueError(f"max_iterations must be a positive integer")
+        m = self.max_iterations
+        if isinstance(m, bool) or not (isinstance(m, int) and m >= 1):
+            raise ValueError(f"max_iterations must be a positive integer, got {m}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,9 @@ class Step:
     """One entry of a run plan.
 
     A release (``sub`` None) solves the regularized ERM on ``span`` with
-    step ``eta`` in a ball of ``radius`` around the current iterate and
-    adds noise of scale ``sigma`` calibrated at clip level ``clip``.
+    step ``eta`` in a ball of ``radius`` around the current iterate,
+    clipping gradients at ``clip``, and adds noise of scale ``sigma``
+    calibrated at that level.
     Otherwise the step runs the nested plan ``sub`` in that ball.
     ``radius`` None keeps the enclosing domain; ``diameter`` is what the
     step's EpochRecord reports, and None writes no record.
@@ -297,7 +299,7 @@ def growth_plan(
     n_span = hi - lo
     if T is None:
         T = default_inner_epochs(n_span, kappa_floor)
-    if not (isinstance(T, int) and T >= 1):
+    if isinstance(T, bool) or not (isinstance(T, int) and T >= 1):
         raise ValueError(f"T must be a positive integer, got {T}")
     _check_positive("clip level", clipL)
     n0 = n_span // T
@@ -327,7 +329,7 @@ def _leaf_sigmas(plan: Plan) -> list[float]:
     return sigmas
 
 
-def _execute(inst, plan, x, center, radius, cfg, noise, extension):
+def _execute(inst, plan, x, center, radius, cfg, noise):
     """Walk ``plan`` from x inside the ball (center, radius): the one
     place a phase is solved, noised and recorded. ``noise`` yields the
     run's pre-drawn noise rows in release order. Returns the end point
@@ -340,14 +342,13 @@ def _execute(inst, plan, x, center, radius, cfg, noise, extension):
         c, r = (center, radius) if step.radius is None else (x, step.radius)
         if step.sub is None:
             x, consumed = _phase(
-                inst, x, step.eta, c, r, cfg, *step.span,
-                step.clip if extension else math.inf,
+                inst, x, step.eta, c, r, cfg, *step.span, step.clip,
                 step.sigma / 100.0 if step.sigma > 0 else None,
             )
             if step.sigma > 0:
                 x = x + next(noise)
         else:
-            x, child = _execute(inst, step.sub, x, c, r, cfg, noise, extension)
+            x, child = _execute(inst, step.sub, x, c, r, cfg, noise)
             children.append(child)
             consumed = child.max_consumed_gradient
         max_consumed = max(max_consumed, consumed)
@@ -359,12 +360,12 @@ def _execute(inst, plan, x, center, radius, cfg, noise, extension):
     return _project(x, center, radius), trace
 
 
-def _run(inst, plan, x, budget, cfg, rng, extension) -> SolverResult:
+def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:
     """Execute a top-level plan from a validated x inside the instance's
     domain, with every release's noise drawn up front in one batch."""
     noise = release_noise(_leaf_sigmas(plan), inst.d, rng, gaussian=budget.delta > 0)
     point, trace = _execute(
-        inst, plan, x, inst.domain.center, inst.domain.radius, cfg, iter(noise), extension
+        inst, plan, x, inst.domain.center, inst.domain.radius, cfg, iter(noise)
     )
     return SolverResult(point=point, trace=trace)
 
@@ -376,20 +377,17 @@ def localization_erm(
     budget: PrivacyBudget,
     cfg: InnerSolveConfig,
     rng,
-    *,
-    clipL: float,
-    extension: bool = False,
 ) -> SolverResult:
     """Localized private ERM: shrinking phases plus output perturbation.
 
     Runs ``erm_plan``: k = max(1, ceil(ln n)) phases over disjoint slices
     of n0 = n // k samples (leftovers dropped and recorded in the trace).
     Noise scales in the trace are exactly the stated formulas at the
-    given clip level.
+    instance's declared L, the level every phase clips at.
     """
     x = as_point(x0, inst.d)
-    plan = erm_plan(0, inst.n, eta, clipL, inst.d, budget)
-    return _run(inst, plan, x, budget, cfg, rng, extension)
+    plan = erm_plan(0, inst.n, eta, inst.constants.L, inst.d, budget)
+    return _run(inst, plan, x, budget, cfg, rng)
 
 
 def epoch_growth_solver(
@@ -400,30 +398,32 @@ def epoch_growth_solver(
     budget: PrivacyBudget,
     cfg: InnerSolveConfig,
     rng,
-    *,
-    clipL: float,
-    extension: bool = False,
 ) -> SolverResult:
     """Epoch solver for growth instances: halving radii and steps.
 
-    Runs ``growth_plan``: epoch i (0-based) localizes on its own block of
-    n0 = n // T samples, confined to a ball of radius r_i = 2^{-i} r0
-    around the current iterate with step eta_i = 2^{-i} eta0.
+    Runs ``growth_plan`` at the instance's declared L: epoch i (0-based)
+    localizes on its own block of n0 = n // T samples, confined to a ball
+    of radius r_i = 2^{-i} r0 around the current iterate with step
+    eta_i = 2^{-i} eta0.
     """
     x = as_point(x0, inst.d)
     if T is None:  # the default epoch count is for nested runs only
         raise ValueError("T must be a positive integer, got None")
-    plan = growth_plan(0, inst.n, T, beta, clipL, inst.domain.radius, inst.d, budget)
-    return _run(inst, plan, x, budget, cfg, rng, extension)
+    plan = growth_plan(
+        0, inst.n, T, beta, inst.constants.L, inst.domain.radius, inst.d, budget
+    )
+    return _run(inst, plan, x, budget, cfg, rng)
 
 
 def lipschitz_wrap(solver, inst: Instance, clipL: float, *args, **kwargs) -> SolverResult:
-    """Run a solver against the clipL-Lipschitz extension of the losses.
+    """Run any solver at clip level clipL instead of the declared L.
 
-    With clipL at or above the instance's true Lipschitz constant the
-    extension never activates and the wrapped run is bit-for-bit the
-    unwrapped one; with a smaller clipL every consumed gradient norm is
-    capped at clipL.
+    A solver clips at and calibrates its noise to its instance's declared
+    L, so the run is on ``inst`` itself when clipL is that L and on the
+    instance redeclared at clipL otherwise. Below the losses' true
+    Lipschitz constant, every consumed gradient norm is capped at clipL.
     """
     _check_positive("clip level", clipL)
-    return solver(inst, *args, clipL=clipL, extension=True, **kwargs)
+    if clipL != inst.constants.L:
+        inst = replace(inst, constants=replace(inst.constants, L=clipL))
+    return solver(inst, *args, **kwargs)

@@ -46,7 +46,6 @@ from .interpolation import (
     adaptive_solver,
     default_schedule,
     interpolation_localization,
-    kappa_interpolation,
 )
 from .losses import IndicatorQuadratic, QuadraticAnchor, SmoothedHingeMargin
 from .mechanisms import AuditConfig, RngStream, empirical_epsilon
@@ -66,8 +65,8 @@ CSV_COLUMNS = (
     "final_L", "wall_ms",
 )
 
-SOLVER_IDS = ("interpolation", "kappa", "adaptive", "epoch-growth", "localization-erm")
-_LOCALIZING = SOLVER_IDS[:3]  # the solvers that read a schedule and inner_epochs
+SOLVER_IDS = ("interpolation", "adaptive", "epoch-growth", "localization-erm")
+_LOCALIZING = SOLVER_IDS[:2]  # the solvers that read a schedule and inner_epochs
 
 LINEAR_IN_N = "log-linear-in-n"
 LINEAR_IN_LOG_N = "log-linear-in-log-n"
@@ -328,7 +327,6 @@ def _run_solver(cfg: ExperimentConfig, inst: Instance, n: int, gen):
         sched = resolve_schedule(cfg, inst, half)
         runner = {
             "interpolation": interpolation_localization,
-            "kappa": kappa_interpolation,
             "adaptive": adaptive_solver,
         }[cfg.solver]
         result = runner(inst, x0, sched, budget, icfg, gen, inner_epochs=cfg.inner_epochs)

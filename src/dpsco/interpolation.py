@@ -15,8 +15,10 @@ For quadratic growth (kappa = 2) the shrink is
 with md = min(d, sqrt(d ln(1/delta))) (just d when delta = 0) and
 c = 256 * constant_scale. For kappa > 2 the same bracket is raised to
 the power 1/(kappa - 1) and c = 4 * 2^{12/kappa} * constant_scale, with
-md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min). None
-of this reads the data, so the whole run is planned before it starts.
+md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min).
+``interpolation_localization`` takes kappa from the instance's declared
+constants. None of this reads the data, so the whole run is planned
+before it starts.
 
 ``default_schedule`` picks (T, m) for a dataset by the block-size rule
 
@@ -36,7 +38,8 @@ guess
 
 (n the full dataset size), a localization of the second half inside the
 ball of that diameter around the first phase's output, so its answer
-always lands in that ball.
+always lands in that ball. The second step shrinks by the quadratic
+rule whatever kappa the instance declares.
 """
 
 from __future__ import annotations
@@ -176,46 +179,21 @@ def interpolation_localization(
     *,
     inner_epochs: int | None = None,
 ) -> SolverResult:
-    """Shrinking-ball solver for quadratic-growth interpolation instances.
+    """Shrinking-ball solver for kappa-growth interpolation instances.
 
-    Runs ``localize_plan``: epoch i runs a clipped growth plan on its own
-    m-sample block inside the current ball, recenters the ball at the
-    output, and shrinks diameter and clip level by the quadratic-growth
-    rule. A shrink that underflows to zero ends the run early at the
-    current iterate (noted in the trace).
+    Runs ``localize_plan`` at the instance's declared kappa: epoch i runs
+    a clipped growth plan on its own m-sample block inside the current
+    ball, recenters the ball at the output, and shrinks diameter and
+    clip level by the kappa rule (the quadratic rule at kappa = 2). A
+    shrink that underflows to zero ends the run early at the current
+    iterate (noted in the trace).
     """
     x = as_point(x0, inst.d)
     plan = localize_plan(
-        inst, schedule, budget, 2.0, (0, inst.n), inst.domain.radius, inner_epochs
+        inst, schedule, budget, inst.constants.kappa, (0, inst.n), inst.domain.radius,
+        inner_epochs,
     )
-    return _run(inst, plan, x, budget, cfg, rng, extension=True)
-
-
-def kappa_interpolation(
-    inst: Instance,
-    x0,
-    schedule: Schedule,
-    budget: PrivacyBudget,
-    cfg: InnerSolveConfig,
-    rng,
-    *,
-    inner_epochs: int | None = None,
-) -> SolverResult:
-    """Localization under kappa-growth, kappa strictly above 2.
-
-    Same loop as :func:`interpolation_localization` with the shrink
-    raised to the power 1/(kappa - 1) and leading constant
-    4 * 2^{12/kappa} * constant_scale. The exponent tends to 0 as kappa
-    grows, so successive diameters approach the leading constant alone.
-    """
-    kappa = inst.constants.kappa
-    if not kappa > 2.0:
-        raise ValueError(f"kappa-growth localization needs kappa > 2, got {kappa}")
-    x = as_point(x0, inst.d)
-    plan = localize_plan(
-        inst, schedule, budget, kappa, (0, inst.n), inst.domain.radius, inner_epochs
-    )
-    return _run(inst, plan, x, budget, cfg, rng, extension=True)
+    return _run(inst, plan, x, budget, cfg, rng)
 
 
 def interpolation_width(
@@ -283,7 +261,7 @@ def adaptive_solver(
     # the executor's last projection pulls the iterate back into the
     # declared domain; projection is 1-Lipschitz around the in-domain
     # trust center, so the point also stays inside the phase 2 ball
-    return _run(inst, plan, x, budget, cfg, rng, extension=True)
+    return _run(inst, plan, x, budget, cfg, rng)
 
 
 def schedule_block_size(

@@ -231,10 +231,9 @@ class Schedule:
     constant_scale: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.T, int) and self.T >= 1):
-            raise ValueError(f"T must be an integer >= 1, got {self.T}")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"m must be an integer >= 1, got {self.m}")
+        for name, value in (("T", self.T), ("m", self.m)):
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if not (0 < self.beta < 1):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.constant_scale > 0:

@@ -2,7 +2,9 @@
 
 Everything here is re-derived from the loss definitions alone — no
 imports from the package under test — so agreement between the library's
-closed forms and these oracles is evidence, not circularity.
+closed forms and these oracles is evidence, not circularity. The one
+exception is ``unclipped``, a fake rather than an oracle: it reruns a
+solver with the library's own phase, minus its clipping.
 
 The central tool is a grid evaluation of the Lipschitzian extension
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
@@ -280,3 +283,24 @@ def margin_features_per_row(d: int, n: int, margin: float, gen: np.random.Genera
         rows.append(a)
         labels.append(1.0 if score > 0 else -1.0)
     return np.array(rows), np.array(labels), witness
+
+
+# -- fakes over the library -------------------------------------------------------
+
+
+def unclipped(fn):
+    """fn with every phase consuming raw gradients: ``base_solvers._phase``
+    gets an infinite clip level, while radii, noise and the trace keep
+    the planned level. The reference a clipped run is compared against."""
+    from dpsco import base_solvers
+
+    def run(*args, **kwargs):
+        phase = base_solvers._phase
+
+        def raw(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
+            return phase(inst, center, eta, ball_center, radius, cfg, lo, hi, math.inf,
+                         tolerance)
+
+        with mock.patch.object(base_solvers, "_phase", raw):
+            return fn(*args, **kwargs)
+    return run

@@ -178,7 +178,9 @@ def test_criterion_04_wrapper_transparency():
     wrapped = lipschitz_wrap(
         epoch_growth_solver, inst, L, x0, 7, 0.05, BUDGET, CFG, RngStream(11, 1)
     )
-    plain = epoch_growth_solver(inst, x0, 7, 0.05, BUDGET, CFG, RngStream(11, 1), clipL=L)
+    plain = _oracles.unclipped(epoch_growth_solver)(
+        inst, x0, 7, 0.05, BUDGET, CFG, RngStream(11, 1)
+    )
     same_point = bool(np.array_equal(wrapped.point, plain.point))
     wi, pi = _leaf_iterates(wrapped.trace), _leaf_iterates(plain.trace)
     same_iterates = len(wi) == len(pi) and all(
@@ -193,7 +195,7 @@ def test_criterion_04_wrapper_transparency():
     ok = same_point and same_iterates and cap_ok
     _report(
         4, ok,
-        f"wrapped vs plain at clipL=L: point bitwise {same_point}, "
+        f"wrapped vs unclipped at the declared L: point bitwise {same_point}, "
         f"{len(wi)} epoch iterates bitwise {same_iterates}; halved clip "
         f"max consumed {max_consumed:.6f} <= {half:.6f}",
     )
@@ -307,13 +309,13 @@ def test_criterion_09_noise_calibration():
     inst = make_noiseless_least_squares(2, 200, np.array([0.5, 0.0]), 1.0)
     L, eta = inst.constants.L, 0.5
     x0 = inst.domain.center.copy()
-    pure = localization_erm(inst, x0, eta, BUDGET, CFG, RngStream(3, 0), clipL=L)
+    pure = localization_erm(inst, x0, eta, BUDGET, CFG, RngStream(3, 0))
     pure_exact = all(
         rec.noise_scale == pure_noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, 1.0)
         for rec in pure.trace.epochs
     )
     gauss_budget = PrivacyBudget(1.0, 1e-6)
-    gauss = localization_erm(inst, x0, eta, gauss_budget, CFG, RngStream(3, 0), clipL=L)
+    gauss = localization_erm(inst, x0, eta, gauss_budget, CFG, RngStream(3, 0))
     gauss_exact = all(
         rec.noise_scale == approx_noise_scale(L, eta * 2.0 ** (-4 * rec.index), 1.0, 1e-6)
         for rec in gauss.trace.epochs

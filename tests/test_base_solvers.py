@@ -20,15 +20,19 @@ from dpsco import (
     PrivacyBudget,
     QuadraticAnchor,
     RngStream,
+    Schedule,
+    adaptive_solver,
     approx_noise_scale,
     epoch_growth_solver,
     exact_minimizer,
     excess_risk,
     growth_step_size,
+    interpolation_localization,
     lipschitz_wrap,
     localization_erm,
     solve_regularized_erm,
 )
+from _oracles import unclipped
 from dpsco import base_solvers
 from dpsco.base_solvers import _closed_form_valid, _phase
 from dpsco.hardness import (
@@ -87,8 +91,10 @@ def test_inner_config_validation():
     for tol in BAD_TOLERANCES:
         with pytest.raises(ValueError, match="tolerance must be a positive real"):
             InnerSolveConfig(tolerance=tol)
-    with pytest.raises(ValueError):
-        InnerSolveConfig(max_iterations=0)
+    # bool is an int subclass; True would cap every phase at one step
+    for bad in (0, True):
+        with pytest.raises(ValueError, match=f"must be a positive integer, got {bad}"):
+            InnerSolveConfig(max_iterations=bad)
 
 
 def test_regularized_erm_worked_example():
@@ -226,7 +232,9 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
 def test_localization_noise_scales_match_the_stated_formula():
     n, d, eta, clipL = 200, 2, 0.5, 2.0
     inst = make_noiseless_least_squares(d, n, [0.5, 0.0], 1.0)
-    res = localization_erm(inst, np.zeros(d), eta, PURE, CFG, RngStream(1, 0), clipL=clipL)
+    res = lipschitz_wrap(
+        localization_erm, inst, clipL, np.zeros(d), eta, PURE, CFG, RngStream(1, 0)
+    )
     k = math.ceil(math.log(n))
     n0 = n // k
     assert len(res.trace.epochs) == k
@@ -246,7 +254,9 @@ def test_localization_noise_scales_match_the_stated_formula():
 def test_localization_gaussian_branch_uses_approximate_dp_scale():
     budget = PrivacyBudget(1.0, 1e-6)
     inst = make_noiseless_least_squares(2, 100, [0.5, 0.0], 1.0)
-    res = localization_erm(inst, np.zeros(2), 0.5, budget, CFG, RngStream(1, 1), clipL=2.0)
+    res = lipschitz_wrap(
+        localization_erm, inst, 2.0, np.zeros(2), 0.5, budget, CFG, RngStream(1, 1)
+    )
     for i, rec in enumerate(res.trace.epochs, start=1):
         eta_i = 0.5 * 2.0 ** (-4 * i)
         assert rec.noise_scale == approx_noise_scale(2.0, eta_i, budget.eps, budget.delta)
@@ -256,7 +266,7 @@ def test_localization_phases_partition_their_span():
     full = make_noiseless_least_squares(2, 300, [0.5, 0.0], 1.0)
     # samples [50, 290) as an instance of their own
     inst = replace(full, dataset=Dataset(full.dataset.points[50:290]), optimum=None)
-    res = localization_erm(inst, np.zeros(2), 0.5, PURE, CFG, RngStream(1, 2), clipL=2.0)
+    res = localization_erm(inst, np.zeros(2), 0.5, PURE, CFG, RngStream(1, 2))
     spans = [rec.samples for rec in res.trace.epochs]
     assert spans[0][0] == 0
     for (a, b), (c, _) in zip(spans, spans[1:]):
@@ -267,9 +277,7 @@ def test_localization_phases_partition_their_span():
 
 def test_localization_without_budget_recovers_the_erm_minimizer():
     inst = make_noiseless_least_squares(2, 1024, [0.5, 0.0], 1.0)
-    res = localization_erm(
-        inst, np.zeros(2), 1e6, FREE, CFG, RngStream(3, 0), clipL=inst.constants.L
-    )
+    res = localization_erm(inst, np.zeros(2), 1e6, FREE, CFG, RngStream(3, 0))
     assert float(np.linalg.norm(res.point - exact_minimizer(inst))) <= 1e-6
     assert excess_risk(inst, res.point) <= 1e-6
     assert all(rec.noise_scale == 0.0 for rec in res.trace.epochs)
@@ -277,9 +285,7 @@ def test_localization_without_budget_recovers_the_erm_minimizer():
 
 def test_localization_replays_per_stream_and_stays_in_domain():
     inst = make_noisy_least_squares(2, 128, [0.5, 0.0], 1.0, 0.5, RngStream(2, 0))
-    run = lambda s: localization_erm(
-        inst, np.zeros(2), 0.1, PURE, CFG, RngStream(9, s), clipL=inst.constants.L
-    )
+    run = lambda s: localization_erm(inst, np.zeros(2), 0.1, PURE, CFG, RngStream(9, s))
     a, b, c = run(0), run(0), run(1)
     assert np.array_equal(a.point, b.point)
     assert not np.array_equal(a.point, c.point)
@@ -289,9 +295,9 @@ def test_localization_replays_per_stream_and_stays_in_domain():
 def test_localization_validation():
     inst = make_noiseless_least_squares(1, 10, [0.5], 1.0)
     with pytest.raises(ValueError):
-        localization_erm(inst, [0.0], 0.5, PURE, CFG, RngStream(0), clipL=0.0)
+        lipschitz_wrap(localization_erm, inst, 0.0, [0.0], 0.5, PURE, CFG, RngStream(0))
     with pytest.raises(ValueError):
-        localization_erm(inst, [0.0], 0.0, PURE, CFG, RngStream(0), clipL=1.0)
+        localization_erm(inst, [0.0], 0.0, PURE, CFG, RngStream(0))
 
 
 # ------------------------------------------------------------- epoch growth
@@ -318,9 +324,7 @@ def test_growth_step_size_formula_both_branches():
 def test_epoch_growth_halves_radius_and_step_per_epoch():
     inst = make_noisy_least_squares(2, 400, [0.5, 0.0], 1.0, 0.5, RngStream(4, 0))
     T = 4
-    res = epoch_growth_solver(
-        inst, np.zeros(2), T, 0.1, PURE, CFG, RngStream(4, 1), clipL=inst.constants.L
-    )
+    res = epoch_growth_solver(inst, np.zeros(2), T, 0.1, PURE, CFG, RngStream(4, 1))
     recs = res.trace.epochs
     assert len(recs) == T and len(res.trace.children) == T
     r0 = inst.domain.diameter
@@ -340,9 +344,7 @@ def test_epoch_growth_halves_radius_and_step_per_epoch():
 
 def test_epoch_growth_consumes_disjoint_sample_ranges():
     inst = make_noisy_least_squares(2, 600, [0.5, 0.0], 1.0, 0.5, RngStream(4, 2))
-    res = epoch_growth_solver(
-        inst, np.zeros(2), 3, 0.1, PURE, CFG, RngStream(4, 3), clipL=inst.constants.L
-    )
+    res = epoch_growth_solver(inst, np.zeros(2), 3, 0.1, PURE, CFG, RngStream(4, 3))
     consumed = []
     for child in res.trace.children:
         consumed.extend(phase.samples for phase in child.epochs)
@@ -355,9 +357,7 @@ def test_epoch_growth_consumes_disjoint_sample_ranges():
 def test_epoch_growth_excess_stays_below_its_stated_bound():
     n, d, beta, T = 2**14, 2, 0.05, 10
     inst = make_noisy_least_squares(d, n, [0.5, 0.0], 1.0, 0.5, RngStream(5, 0), radius=1.0)
-    res = epoch_growth_solver(
-        inst, np.zeros(d), T, beta, PURE, CFG, RngStream(5, 1), clipL=inst.constants.L
-    )
+    res = epoch_growth_solver(inst, np.zeros(d), T, beta, PURE, CFG, RngStream(5, 1))
     exc = excess_risk(inst, res.point)
     L, r0 = inst.constants.L, inst.domain.diameter
     lt = math.log(1.0 / beta)
@@ -372,7 +372,7 @@ def test_epoch_growth_excess_stays_below_its_stated_bound():
 def test_epoch_growth_degenerate_domain_returns_the_center():
     inst = make_noiseless_least_squares(2, 100, [0.0, 0.0], 1.0)
     inst = replace(inst, domain=Ball(np.zeros(2), 0.0))
-    res = epoch_growth_solver(inst, np.zeros(2), 3, 0.1, PURE, CFG, RngStream(0), clipL=1.0)
+    res = epoch_growth_solver(inst, np.zeros(2), 3, 0.1, PURE, CFG, RngStream(0))
     assert np.array_equal(res.point, [0.0, 0.0])
     assert res.trace.note == "degenerate-domain"
     assert res.trace.dropped == 100
@@ -381,9 +381,11 @@ def test_epoch_growth_degenerate_domain_returns_the_center():
 def test_epoch_growth_validation():
     inst = make_noiseless_least_squares(1, 10, [0.5], 1.0)
     with pytest.raises(ValueError):
-        epoch_growth_solver(inst, [0.0], 0, 0.1, PURE, CFG, RngStream(0), clipL=1.0)
+        epoch_growth_solver(inst, [0.0], 0, 0.1, PURE, CFG, RngStream(0))
     with pytest.raises(ValueError):
-        epoch_growth_solver(inst, [0.0], 20, 0.1, PURE, CFG, RngStream(0), clipL=1.0)
+        epoch_growth_solver(inst, [0.0], 20, 0.1, PURE, CFG, RngStream(0))
+    with pytest.raises(ValueError, match="T must be a positive integer, got True"):
+        epoch_growth_solver(inst, [0.0], True, 0.1, PURE, CFG, RngStream(0))
 
 
 # ----------------------------------------------------------------- clipping
@@ -397,8 +399,8 @@ def test_wrapper_with_slack_clip_is_bitwise_identical():
     wrapped = lipschitz_wrap(
         epoch_growth_solver, inst, L, np.zeros(2), T, 0.05, PURE, CFG, RngStream(11, 1)
     )
-    plain = epoch_growth_solver(
-        inst, np.zeros(2), T, 0.05, PURE, CFG, RngStream(11, 1), clipL=L
+    plain = unclipped(epoch_growth_solver)(
+        inst, np.zeros(2), T, 0.05, PURE, CFG, RngStream(11, 1)
     )
     assert np.array_equal(wrapped.point, plain.point)
     assert excess_risk(inst, wrapped.point) == excess_risk(inst, plain.point)
@@ -432,12 +434,54 @@ def test_wrapper_changes_nothing_when_clipping_never_triggers():
     wrapped = lipschitz_wrap(
         localization_erm, inst, L, inst.optimum.point, 0.01, PURE, CFG, RngStream(13, 2)
     )
-    plain = localization_erm(
-        inst, inst.optimum.point, 0.01, PURE, CFG, RngStream(13, 2), clipL=L
+    plain = unclipped(localization_erm)(
+        inst, inst.optimum.point, 0.01, PURE, CFG, RngStream(13, 2)
     )
     assert np.array_equal(wrapped.point, plain.point)
     assert excess_risk(inst, wrapped.point) == excess_risk(inst, plain.point)
     assert wrapped.trace.max_consumed_gradient < L
+
+
+def _leaf_traces(trace):
+    if not trace.children:
+        return [trace]
+    return [leaf for child in trace.children for leaf in _leaf_traces(child)]
+
+
+def test_wrapper_enforces_a_tight_clip_on_every_solver():
+    # every leaf release consumes gradients no larger than the level its
+    # noise is calibrated to, on all four solvers, while the same runs
+    # without clipping consume larger ones
+    inst = make_noisy_least_squares(2, 512, [0.5, 0.0], 1.0, 0.5, RngStream(7, 0), radius=1.0)
+    half = inst.constants.L / 2.0
+    x0 = np.zeros(2)
+    runs = {
+        "interpolation": (interpolation_localization,
+                          (x0, Schedule(T=3, m=128, beta=0.05, constant_scale=2e-3), PURE, CFG)),
+        "adaptive": (adaptive_solver,
+                     (x0, Schedule(T=2, m=64, beta=0.05, constant_scale=2e-3), PURE, CFG)),
+        "growth": (epoch_growth_solver, (x0, 4, 0.05, PURE, CFG)),
+        "erm": (localization_erm, (x0, 0.05, PURE, CFG)),
+    }
+    for name, (solver, args) in runs.items():
+        res = lipschitz_wrap(solver, inst, half, *args, RngStream(3, 1))
+        for leaf in _leaf_traces(res.trace):
+            level = min(rec.lipschitz for rec in leaf.epochs)
+            assert level <= half
+            assert leaf.max_consumed_gradient <= level * (1.0 + 1e-12), name
+        raw = unclipped(lipschitz_wrap)(solver, inst, half, *args, RngStream(3, 1))
+        assert raw.trace.max_consumed_gradient > 1.1 * half, name
+
+
+def test_the_unclipped_fake_consumes_raw_gradients():
+    # on this instance a raw gradient norm exceeds the declared L = 1 by
+    # one ulp, so a fake that stopped reaching _phase would show here
+    inst = make_margin_classification(3, 256, 0.25, RngStream(2, 0))
+    L = inst.constants.L
+    run = lambda solver: solver(inst, np.zeros(3), 0.05, PURE, CFG, RngStream(0, 7))
+    clipped, raw = run(localization_erm), run(unclipped(localization_erm))
+    assert clipped.trace.max_consumed_gradient <= L
+    assert raw.trace.max_consumed_gradient > L
 
 
 def test_wrapper_validation():

@@ -321,6 +321,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["sweep", "--set", "stepsize=1.0"]) == 2
     assert "unknown" in capsys.readouterr().err
+    # interpolation reads kappa from the instance; there is no kappa solver
+    assert main(["sweep", "--set", "solver=kappa"]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown solver 'kappa'")
     assert main(["sweep", "--set", "badpair"]) == 2
     assert "KEY=VALUE" in capsys.readouterr().err
     assert main(["complexity", "--set", "alpha=abc"]) == 2

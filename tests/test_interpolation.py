@@ -22,7 +22,6 @@ from dpsco import (
     excess_risk,
     interpolation_localization,
     interpolation_width,
-    kappa_interpolation,
     lipschitz_wrap,
     sample_complexity,
     schedule_block_size,
@@ -214,21 +213,13 @@ def test_localization_without_privacy_noise_descends_monotonically():
 # ----------------------------------------------------------- kappa variant
 
 
-def test_kappa_solver_rejects_quadratic_growth_instances():
-    inst = make_noiseless_least_squares(2, 64, [0.5, 0.0], 1.0)  # kappa = 2
-    with pytest.raises(ValueError):
-        kappa_interpolation(
-            inst, np.zeros(2), Schedule(T=2, m=16, beta=0.1), PURE, CFG, RngStream(0)
-        )
-
-
 def test_kappa_solver_shrinks_by_the_rooted_rule():
     base = make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0)
     inst = replace(
         base, constants=replace(base.constants, kappa=3.0)
     )
     sched = Schedule(T=3, m=128, beta=0.1, constant_scale=2.0e-3)
-    res = kappa_interpolation(
+    res = interpolation_localization(
         inst, np.zeros(2), sched, PURE, CFG, RngStream(23, 0), inner_epochs=1
     )
     recs = res.trace.epochs
@@ -246,8 +237,8 @@ def test_kappa_growth_rate_comparison_requires_a_steeper_family():
     pytest.skip(
         "no packaged loss family exhibits growth steeper than quadratic (the "
         "anchored quadratics grow with exponent exactly 2 and the hinge declares "
-        "no growth), so there is no instance on which the kappa = 3 solver's "
-        "convergence slope could be separated from the quadratic solver's"
+        "no growth), so there is no instance on which the convergence slope of "
+        "interpolation_localization at kappa = 3 could be separated from kappa = 2"
     )
 
 

@@ -167,6 +167,10 @@ def test_schedule_validation():
         Schedule(T=1, m=1, beta=1.0)
     with pytest.raises(ValueError):
         Schedule(T=1, m=1, beta=0.1, constant_scale=0.0)
+    # bool is an int subclass; True would plan a one-epoch or one-sample run
+    for sizes in (dict(T=True, m=4), dict(T=4, m=True)):
+        with pytest.raises(ValueError, match="must be an integer >= 1, got True"):
+            Schedule(beta=0.1, **sizes)
 
 
 # ------------------------------------------------------------------ risk

@@ -21,11 +21,11 @@ from dpsco import (
     adaptive_solver,
     epoch_growth_solver,
     interpolation_localization,
-    kappa_interpolation,
     lipschitz_wrap,
     localization_erm,
     solve_regularized_erm,
 )
+from _oracles import unclipped
 from dpsco import base_solvers
 from dpsco.hardness import (
     make_lower_bound_instance,
@@ -117,7 +117,7 @@ def _runs():
             inner_epochs=2)
     for tag, inst in steep.items():
         for bname in ("pure", "gauss"):
-            add(f"kappa-{tag}-{bname}", kappa_interpolation, inst, x0, contracting,
+            add(f"kappa-{tag}-{bname}", interpolation_localization, inst, x0, contracting,
                 budgets[bname], CFG, G, inner_epochs=2)
     for (tag, inst), bname in (
         (pair, bn) for pair in (("quad", quad), ("noisy", noisy), ("ind", ind), ("hinge", hinge))
@@ -125,20 +125,20 @@ def _runs():
     ):
         b, L, c = budgets[bname], inst.constants.L, np.zeros(inst.d)
         sub = Ball(np.full(inst.d, 0.05), 0.7)
-        add(f"growth-raw-{tag}-{bname}", epoch_growth_solver, inst, c, 4, 0.05, b, CFG, G,
-            clipL=L)
+        add(f"growth-raw-{tag}-{bname}", unclipped(epoch_growth_solver), inst, c, 4, 0.05, b,
+            CFG, G)
         add(f"growth-wrap-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver, inst, L, c, 4,
             0.05, b, CFG, G)
         add(f"growth-tight-{tag}-{bname}", lipschitz_wrap, epoch_growth_solver,
             _restrict(inst, (7, 200), sub), 0.3 * L, c, 3, 0.05, b, CFG, G)
-        add(f"erm-raw-{tag}-{bname}", localization_erm, inst, c, 0.05, b, CFG, G, clipL=L)
+        add(f"erm-raw-{tag}-{bname}", unclipped(localization_erm), inst, c, 0.05, b, CFG, G)
         add(f"erm-wrap-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, L, c, 0.05, b, CFG, G)
         add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm,
             _restrict(inst, (3, 150), sub), 0.3 * L, c, 0.2, b, CFG, G)
     add("growth-pgd-quad", _gradient_descent_only(lipschitz_wrap), epoch_growth_solver, quad,
         0.5, x0, 3, 0.05, PURE, CFG, G)
     add("growth-degenerate", epoch_growth_solver, _restrict(quad, domain=point), x0, 3, 0.05,
-        PURE, CFG, G, clipL=1.0)
+        PURE, CFG, G)
     add("interp-degenerate", interpolation_localization, _restrict(quad, domain=point), x0,
         contracting, PURE, CFG, G, inner_epochs=1)
     add("interp-early-exit", interpolation_localization, tiny, x0,
@@ -181,8 +181,7 @@ _SOLVERS = {
         inst, np.zeros(2), Schedule(T=2, m=64, beta=0.05, constant_scale=2e-3), b, CFG, gen),
     "growth": lambda inst, gen, b: lipschitz_wrap(
         epoch_growth_solver, inst, inst.constants.L, np.zeros(2), 4, 0.05, b, CFG, gen),
-    "erm": lambda inst, gen, b: localization_erm(
-        inst, np.zeros(2), 0.05, b, CFG, gen, clipL=inst.constants.L),
+    "erm": lambda inst, gen, b: localization_erm(inst, np.zeros(2), 0.05, b, CFG, gen),
 }
 
 
