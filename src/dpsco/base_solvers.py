@@ -40,13 +40,16 @@ infinite budget makes every noise scale zero and the draw is skipped.
 
 Inputs are validated once, at entry: the public solvers check x0 and
 the plan builders check every release, so ``_execute`` builds no
-``Ball`` and solves each phase (``_phase``, the one closed form and the
-one gradient-descent loop) on raw arrays and a raw (center, radius)
-ball. The noise of a whole run is drawn before its first phase, in one
-``release_noise`` batch over the releases with sigma > 0 in run order
-(depth first). That batch equals the per-release draws bit for bit, but
-a caller-supplied ``Generator`` advances by the whole run's draw even
-when a phase raises.
+``Ball`` and solves every phase on raw arrays and raw (center, radius)
+balls. ``_releases`` walks the releases of one ``erm_plan`` as a block:
+it chains their closed forms with no pass over the rows, checks the
+whole chain in one batched pass (``_closed_form_count``), and solves a
+release that fails the check by the one gradient-descent loop
+(``_phase``) before it resumes. The noise of a whole run is drawn
+before its first phase, in one ``release_noise`` batch over the
+releases with sigma > 0 in run order (depth first). That batch equals
+the per-release draws bit for bit, but a caller-supplied ``Generator``
+advances by the whole run's draw even when a phase raises.
 
 A solver runs on its whole instance: all n samples, the instance's
 domain and its declared Lipschitz level. To run on a sub-span, inside a
@@ -110,21 +113,6 @@ class SolverResult:
     trace: RunTrace
 
 
-def _closed_form_valid(H: float, center: Vector, radius: float, anchors: np.ndarray,
-                       clip: float) -> bool:
-    """True when the quadratic closed form equals the clipped-gradient ERM.
-
-    Sufficient condition: the largest per-sample gradient anywhere in the
-    ball, H * (||center - s|| + radius) over the anchors s that pull,
-    stays at or below the clip level, so clipping can never activate
-    during a solve confined to the ball.
-    """
-    if math.isinf(clip) or anchors.shape[0] == 0:
-        return True
-    reach = _row_norms(anchors - center[None, :]).max() + radius
-    return H * reach <= clip
-
-
 def solve_regularized_erm(
     inst: Instance,
     center,
@@ -140,7 +128,8 @@ def solve_regularized_erm(
 
     Returns (minimizer, max consumed gradient norm at the minimizer).
     Raises ConvergenceError when gradient descent cannot reach tolerance
-    within cfg.max_iterations.
+    within cfg.max_iterations. This is the executor's release walk on a
+    block of one release, without noise.
     """
     center = as_point(center, inst.d)
     if domain.d != inst.d:
@@ -153,35 +142,112 @@ def solve_regularized_erm(
     lo, hi = (0, inst.n) if span is None else (int(span[0]), int(span[1]))
     if not (0 <= lo < hi <= inst.n):
         raise ValueError(f"span {span} out of range for {inst.n} samples")
-    return _phase(inst, center, eta, domain.center, domain.radius, cfg, lo, hi, clip, tolerance)
+    step = Step((lo, hi), None, None, clip, 0.0, eta)
+    (x,), (consumed,) = _releases(
+        inst, (step,), center, domain.center, domain.radius, cfg, iter(()), tolerance
+    )
+    return x, consumed
+
+
+def _closed_form_count(H, block, pulls, empty, centers, radii, clip) -> int:
+    """How many leading releases of a block the quadratic closed form
+    solves exactly.
+
+    Release i qualifies when it has no anchor (``empty[i]``) or when the
+    largest per-sample gradient anywhere in its ball (centers[i],
+    radii[i]), H * (max_s ||s - centers[i]|| + radii[i]) over the rows s
+    of its slice of ``block`` that pull, is at most ``clip``: clipping
+    can then never activate during a solve confined to the ball.
+    """
+    dist = np.where(pulls, _row_norms(block - centers[:, None, :]), 0.0)
+    reaches = np.maximum.reduce(dist, axis=1).tolist()
+    for i, (reach, r, no_anchor) in enumerate(zip(reaches, radii, empty)):
+        if not (no_anchor or H * (reach + r) <= clip):
+            return i
+    return len(radii)
+
+
+def _releases(inst, steps, x, center, radius, cfg, noise, tolerance=None):
+    """Solve the releases of one ``erm_plan`` in order from x: the one
+    place a release is solved and noised.
+
+    The releases lie on equal, contiguous slices of n0 rows and clip at
+    one level. A release with ``radius`` None solves in the ball (center,
+    radius); otherwise in the ball of its radius around the current
+    iterate. ``noise`` yields the pre-drawn rows of the releases with
+    sigma > 0, one per release in release order; a release with sigma 0
+    runs gradient descent to ``tolerance`` (or ``cfg``'s).
+
+    On an anchor family the releases are walked as one block. The chain
+    of closed forms (alpha_i m_i + reg_i x)/(alpha_i + reg_i), each
+    projected onto its ball and noised, needs no pass over the rows;
+    ``_closed_form_count`` then checks every release of the chain at
+    once. The accepted releases are kept, and their consumed gradients
+    go through ``clip_gradients`` in one batch. The first rejected
+    release runs gradient descent (``_phase``) from the same iterate,
+    with its own noise row, and the walk resumes after it. The hinge has
+    no anchors, so every release runs gradient descent.
+
+    Returns each release's iterate (noise added) and the largest
+    gradient norm it consumed.
+    """
+    fam, k, clip = inst.family, len(steps), steps[0].clip
+    lo, n0 = steps[0].span[0], steps[0].span[1] - steps[0].span[0]
+    rows = [next(noise) if step.sigma > 0 else None for step in steps]
+    radii = [radius if step.radius is None else step.radius for step in steps]
+    iterates, consumed = [], []
+    if fam.anchors is not None:
+        block = inst.dataset.points[lo:lo + k * n0].reshape(k, n0, inst.d)
+        means, counts, pulls = fam.block_anchors(block)
+        # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
+        # in the last bit, and this rounding is part of every recorded run
+        alpha = [fam.H * count / n0 for count in counts]
+        pull = np.array(alpha)[:, None] * means
+        regs = [2.0 / (step.eta * n0) for step in steps]  # proximal gradient coefficients
+        empty = [count == 0 for count in counts]
+    i = 0
+    while i < k:
+        j = i
+        if fam.anchors is not None:
+            y, centers, bests, chain = x, [], [], []
+            for m in range(i, k):
+                c = center if steps[m].radius is None else y
+                target = y if empty[m] else (pull[m] + regs[m] * y) / (alpha[m] + regs[m])
+                best = _project(target, c, radii[m])
+                y = best if rows[m] is None else best + rows[m]
+                centers.append(c)
+                bests.append(best)
+                chain.append(y)
+            j += _closed_form_count(fam.H, block[i:], pulls[i:], empty[i:], np.array(centers),
+                                    radii[i:], clip)
+            if j > i:
+                grads = fam.gradients(np.array(bests[:j - i]), block[i:j])
+                _, norms = clip_gradients(grads.reshape(-1, inst.d), clip)
+                consumed += np.maximum.reduce(norms.reshape(j - i, n0), axis=1).tolist()
+                iterates += chain[:j - i]
+                x = iterates[-1]
+        if j < k:
+            step = steps[j]
+            c = center if step.radius is None else x
+            tol = step.sigma / 100.0 if step.sigma > 0 else tolerance
+            x, used = _phase(inst, x, step.eta, c, radii[j], cfg, *step.span, clip, tol)
+            if rows[j] is not None:
+                x = x + rows[j]
+            iterates.append(x)
+            consumed.append(used)
+        i = j + 1
+    return iterates, consumed
 
 
 def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
-    """``solve_regularized_erm`` on validated inputs and a raw ball: the
-    one closed form and the one gradient-descent loop."""
-    n0 = hi - lo
+    """One release by projected gradient descent on validated inputs and a
+    raw ball; the proximal term makes the objective reg-strongly convex,
+    so this contracts linearly."""
     pts = inst.dataset.points[lo:hi]
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
-    reg = 2.0 / (eta * n0)  # gradient coefficient of the proximal term
+    reg = 2.0 / (eta * (hi - lo))  # gradient coefficient of the proximal term
     tol = cfg.tolerance if tolerance is None else max(tolerance, cfg.tolerance)
     fam = inst.family
-    anchors = fam.anchors(pts) if fam.anchors is not None else None
-    if anchors is not None and _closed_form_valid(fam.H, ball_center, radius, anchors, clip):
-        k = anchors.shape[0]
-        if k == 0:
-            best = _project(center, ball_center, radius)
-        else:
-            # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
-            # in the last bit, and this rounding is part of every recorded run
-            alpha = fam.H * k / n0
-            anchor_mean = np.add.reduce(anchors, axis=0) / k  # .mean(axis=0), bit for bit
-            best = _project((alpha * anchor_mean + reg * center) / (alpha + reg),
-                            ball_center, radius)
-        _, norms = clip_gradients(fam.gradients(best, pts, labels), clip)
-        return best, float(norms.max()) if norms.size else 0.0
-
-    # projected gradient descent; the proximal term makes the objective
-    # reg-strongly convex so this contracts linearly
     step = 1.0 / (inst.constants.H + reg)
     x = _project(center, ball_center, radius)
     max_consumed = 0.0
@@ -331,33 +397,31 @@ def _leaf_sigmas(plan: Plan) -> list[float]:
 
 def _execute(inst, plan, x, center, radius, cfg, noise):
     """Walk ``plan`` from x inside the ball (center, radius): the one
-    place a phase is solved, noised and recorded. ``noise`` yields the
-    run's pre-drawn noise rows in release order. Returns the end point
-    projected onto the ball (its centre for an empty plan) and the run's
-    trace."""
+    place a step is recorded. A plan's steps are all releases (an
+    ``erm_plan``, solved by ``_releases``) or all nested plans.
+    ``noise`` yields the run's pre-drawn noise rows in release order.
+    Returns the end point projected onto the ball (its centre for an
+    empty plan) and the run's trace."""
     if not plan.steps:
         return center.copy(), RunTrace(epochs=(), dropped=plan.dropped, note=plan.note)
-    records, children, max_consumed = [], [], 0.0
-    for index, step in enumerate(plan.steps, start=1):
-        c, r = (center, radius) if step.radius is None else (x, step.radius)
-        if step.sub is None:
-            x, consumed = _phase(
-                inst, x, step.eta, c, r, cfg, *step.span, step.clip,
-                step.sigma / 100.0 if step.sigma > 0 else None,
-            )
-            if step.sigma > 0:
-                x = x + next(noise)
-        else:
+    children = []
+    if plan.steps[0].sub is None:
+        iterates, consumed = _releases(inst, plan.steps, x, center, radius, cfg, noise)
+    else:
+        iterates, consumed = [], []
+        for step in plan.steps:
+            c, r = (center, radius) if step.radius is None else (x, step.radius)
             x, child = _execute(inst, step.sub, x, c, r, cfg, noise)
+            iterates.append(x)
             children.append(child)
-            consumed = child.max_consumed_gradient
-        max_consumed = max(max_consumed, consumed)
-        if step.diameter is not None:
-            records.append(
-                EpochRecord(index, step.diameter, step.clip, x, step.sigma, step.span)
-            )
-    trace = RunTrace(tuple(records), plan.dropped, tuple(children), max_consumed, plan.note)
-    return _project(x, center, radius), trace
+            consumed.append(child.max_consumed_gradient)
+    records = tuple(
+        EpochRecord(index, step.diameter, step.clip, it, step.sigma, step.span)
+        for index, (step, it) in enumerate(zip(plan.steps, iterates), start=1)
+        if step.diameter is not None
+    )
+    trace = RunTrace(records, plan.dropped, tuple(children), max([0.0, *consumed]), plan.note)
+    return _project(iterates[-1], center, radius), trace
 
 
 def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:

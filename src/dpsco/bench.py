@@ -127,10 +127,11 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise ValueError(f"n_grid must be strictly increasing, got {grid}")
         object.__setattr__(self, "n_grid", grid)
-        if not (isinstance(self.seeds, int) and self.seeds >= 1):
-            raise ValueError(f"seeds must be a positive integer, got {self.seeds}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d}")
+        # bool is an int subclass; True would run one seed in one dimension
+        for name in ("seeds", "d"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {v}")
         # an infinite eps would silently drop every noise draw, and the
         # generators compute with these values before any family sees them
         for name in ("eps", "H", "margin"):
@@ -146,7 +147,7 @@ class ExperimentConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         for name in ("T", "m", "inner_epochs"):
             v = getattr(self, name)
-            if v is not None and not (isinstance(v, int) and v >= 1):
+            if v is not None and (isinstance(v, bool) or not (isinstance(v, int) and v >= 1)):
                 raise ValueError(f"{name} must be a positive integer, got {v}")
         if not self.constant_scale > 0:
             raise ValueError(f"constant_scale must be positive, got {self.constant_scale}")

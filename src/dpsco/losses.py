@@ -24,9 +24,12 @@ Each family's math lives on its class: ``tag`` (its sweep id),
 ``labeled``, batch ``values`` / ``gradients`` over an (n, d) payload
 block, and the single-sample extension value ``ext_value``. The two
 anchor families also give ``anchors(points)`` (the rows that pull),
-``weight(k, n)`` (the curvature of an n-sample average around the mean of
-its k anchors) and ``curvatures(points)`` (each row's Hessian is c * I);
-the hinge has no anchors, so its ``anchors`` is None.
+``block_anchors(block)`` (the same per slice of a (k, n0, d) block, as
+anchor means, counts and a pull mask), ``weight(k, n)`` (the curvature of an
+n-sample average around the mean of its k anchors) and
+``curvatures(points)`` (each row's Hessian is c * I); their
+``gradients`` also take one point per slice of such a block. The hinge
+has no anchors, so its ``anchors`` is None.
 
 The module functions validate inputs and call those methods. The batch
 forms are the only code path the solvers use; ``loss_value``,
@@ -64,6 +67,14 @@ class QuadraticAnchor:
         """The payload rows that pull: all of them."""
         return points
 
+    def block_anchors(self, block: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """Per slice of a (k, n0, d) block: the mean of its anchors (k, d;
+        zero for a slice with none), their counts and the (k, n0) mask of
+        the rows that pull. Each mean is ``self.anchors(slice).mean(axis=0)``
+        bit for bit, ``np.add.reduce(anchors, axis=0) / count``."""
+        k, n0 = block.shape[:2]
+        return np.add.reduce(block, axis=1) / n0, [n0] * k, np.ones((k, n0), dtype=bool)
+
     def weight(self, k: int, n: int) -> float:
         """Curvature of the n-sample average loss around its anchor mean."""
         return self.H
@@ -77,7 +88,8 @@ class QuadraticAnchor:
         return 0.5 * self.H * np.einsum("ij,ij->i", diff, diff)
 
     def gradients(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
-        return self.H * (x[None, :] - points)
+        # x is one point over (n, d) rows, or (k, d) points over a (k, n0, d) block
+        return self.H * (x[..., None, :] - points)
 
     def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
         H = self.H
@@ -101,6 +113,14 @@ class IndicatorQuadratic(QuadraticAnchor):
         """The payload rows that pull: the nonzero ones."""
         return points[points.any(axis=1)]
 
+    def block_anchors(self, block: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        # summed slice by slice over the compacted anchors: padding the off
+        # rows with -0.0 changes numpy's pairwise summation order at d = 1
+        pulls = block.any(axis=2)
+        anchors = [rows[on] for rows, on in zip(block, pulls)]
+        means = np.array([np.add.reduce(a, axis=0) / max(len(a), 1) for a in anchors])
+        return means, [len(a) for a in anchors], pulls
+
     def weight(self, k: int, n: int) -> float:
         return self.H * k / n
 
@@ -112,7 +132,7 @@ class IndicatorQuadratic(QuadraticAnchor):
 
     def gradients(self, x: Vector, points: np.ndarray, labels=None) -> np.ndarray:
         grads = super().gradients(x, points)
-        grads[~points.any(axis=1)] = 0.0
+        grads[~points.any(axis=-1)] = 0.0
         return grads
 
     def ext_value(self, x: Vector, s: Vector, label, L: float) -> float:
@@ -249,9 +269,10 @@ def batch_gradients(family: LossFamily, x, points: np.ndarray, labels=None) -> n
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: ``np.linalg.norm(rows, axis=1)``'s
-    arithmetic, bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+    """Euclidean norm of each row (along the last axis):
+    ``np.linalg.norm(rows, axis=-1)``'s arithmetic, bit for bit, without
+    its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
 def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:

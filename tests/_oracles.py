@@ -2,9 +2,10 @@
 
 Everything here is re-derived from the loss definitions alone — no
 imports from the package under test — so agreement between the library's
-closed forms and these oracles is evidence, not circularity. The one
-exception is ``unclipped``, a fake rather than an oracle: it reruns a
-solver with the library's own phase, minus its clipping.
+closed forms and these oracles is evidence, not circularity. The two
+exceptions are fakes rather than oracles, at the end of the module:
+``unclipped`` reruns a solver with the library's own releases minus
+their clipping, and ``gradient_descent_only`` minus their closed form.
 
 The central tool is a grid evaluation of the Lipschitzian extension
 
@@ -41,7 +42,7 @@ Gradient oracle, by case on the distance from x to the grid argmin y*:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -289,18 +290,29 @@ def margin_features_per_row(d: int, n: int, margin: float, gen: np.random.Genera
 
 
 def unclipped(fn):
-    """fn with every phase consuming raw gradients: ``base_solvers._phase``
-    gets an infinite clip level, while radii, noise and the trace keep
-    the planned level. The reference a clipped run is compared against."""
+    """fn with every release consuming raw gradients: ``base_solvers._releases``
+    gets its releases at an infinite clip level, while radii, noise and the
+    trace keep the planned level. The reference a clipped run is compared
+    against."""
     from dpsco import base_solvers
 
     def run(*args, **kwargs):
-        phase = base_solvers._phase
+        releases = base_solvers._releases
 
-        def raw(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
-            return phase(inst, center, eta, ball_center, radius, cfg, lo, hi, math.inf,
-                         tolerance)
+        def raw(inst, steps, *rest):
+            return releases(inst, tuple(replace(s, clip=math.inf) for s in steps), *rest)
 
-        with mock.patch.object(base_solvers, "_phase", raw):
+        with mock.patch.object(base_solvers, "_releases", raw):
+            return fn(*args, **kwargs)
+    return run
+
+
+def gradient_descent_only(fn):
+    """fn with every release on gradient descent: the block check
+    ``base_solvers._closed_form_count`` accepts no closed form."""
+    from dpsco import base_solvers
+
+    def run(*args, **kwargs):
+        with mock.patch.object(base_solvers, "_closed_form_count", lambda *a: 0):
             return fn(*args, **kwargs)
     return run

@@ -32,9 +32,9 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
-from _oracles import unclipped
+from _oracles import gradient_descent_only, unclipped
 from dpsco import base_solvers
-from dpsco.base_solvers import _closed_form_valid, _phase
+from dpsco.base_solvers import Step, _closed_form_count, _releases
 from dpsco.hardness import (
     LowerBoundSpec,
     make_lower_bound_instance,
@@ -62,13 +62,6 @@ def _consumed_norms():
 
     with mock.patch.object(base_solvers, "clip_gradients", record):
         yield seen
-
-
-@contextmanager
-def _gradient_descent_only():
-    """Every phase skips the closed form and runs gradient descent."""
-    with mock.patch.object(base_solvers, "_closed_form_valid", lambda *args: False):
-        yield
 
 
 def _ls(anchors, radius=10.0):
@@ -126,8 +119,7 @@ def test_regularized_erm_closed_form_matches_gradient_descent():
         eta = float(rng.uniform(0.1, 5.0))
         ball = Ball(center, float(rng.uniform(0.5, 2.0)))
         exact, _ = solve_regularized_erm(inst, center, eta, ball, CFG)
-        with _gradient_descent_only():
-            pgd, _ = solve_regularized_erm(inst, center, eta, ball, pgd_cfg)
+        pgd, _ = gradient_descent_only(solve_regularized_erm)(inst, center, eta, ball, pgd_cfg)
         assert np.linalg.norm(exact - pgd) <= 1e-7
 
 
@@ -199,8 +191,9 @@ _PHASE_INSTANCES = {
          radius=1.0, eta=0.5, clip_factor=0.3)  # clip below the ball's reach
 def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, radius, eta,
                                                 clip_factor):
-    # the executor hands the phase raw arrays and a raw (center, radius)
-    # ball; the public solve validates, builds a Ball and must agree bit for bit
+    # the executor hands its release walk raw arrays and a raw (center,
+    # radius) ball; the public solve validates, builds a Ball and runs the
+    # walk on a block of one, and the two must agree bit for bit
     inst = _PHASE_INSTANCES[tag]
     d, (lo, hi) = inst.d, span
     x, c = np.array(center[:d]), np.array(ball_center[:d])
@@ -211,7 +204,10 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         # form is invalid and the phase falls back to gradient descent
         reach = fam.H * (np.linalg.norm(anchors - c, axis=1).max() + radius)
         clip = clip_factor * reach
-        assert _closed_form_valid(fam.H, c, radius, anchors, clip) == (clip_factor >= 1.0)
+        _, counts, pulls = fam.block_anchors(pts[None])
+        accepted = _closed_form_count(fam.H, pts[None], pulls, [counts[0] == 0], c[None],
+                                      [radius], clip)
+        assert accepted == (clip_factor >= 1.0)
     else:
         clip = clip_factor
     cfg, seen = InnerSolveConfig(tolerance=1e-6), {}
@@ -219,9 +215,10 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg,
                                        span=span, clip=clip, tolerance=1e-5)
     with _consumed_norms() as seen["raw"]:
-        raw = _phase(inst, x, eta, c, radius, cfg, lo, hi, clip, 1e-5)
-    assert public[0].tobytes() == raw[0].tobytes()
-    assert public[1] == raw[1]
+        raw = _releases(inst, (Step(span, None, None, clip, 0.0, eta),), x, c, radius, cfg,
+                        iter(()), 1e-5)
+    assert public[0].tobytes() == raw[0][0].tobytes()
+    assert public[1] == raw[1][0]
     assert len(seen["public"]) == len(seen["raw"])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen["public"], seen["raw"]))
 
@@ -475,13 +472,23 @@ def test_wrapper_enforces_a_tight_clip_on_every_solver():
 
 def test_the_unclipped_fake_consumes_raw_gradients():
     # on this instance a raw gradient norm exceeds the declared L = 1 by
-    # one ulp, so a fake that stopped reaching _phase would show here
+    # one ulp, so a fake that stopped reaching the releases would show here
     inst = make_margin_classification(3, 256, 0.25, RngStream(2, 0))
     L = inst.constants.L
     run = lambda solver: solver(inst, np.zeros(3), 0.05, PURE, CFG, RngStream(0, 7))
     clipped, raw = run(localization_erm), run(unclipped(localization_erm))
     assert clipped.trace.max_consumed_gradient <= L
     assert raw.trace.max_consumed_gradient > L
+
+
+def test_the_gradient_descent_fake_refuses_the_closed_form():
+    # gradient descent stops at a tolerance, so its iterates leave the
+    # closed form's bits; a fake that stopped reaching the block check
+    # would leave the run unchanged
+    inst = make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0)
+    run = lambda solver: solver(inst, np.zeros(2), 0.05, PURE, CFG, RngStream(0, 7))
+    closed, pgd = run(localization_erm), run(gradient_descent_only(localization_erm))
+    assert closed.point.tobytes() != pgd.point.tobytes()
 
 
 def test_wrapper_validation():

@@ -71,6 +71,10 @@ def test_config_defaults_and_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+    # bool is an int subclass; each of these constructed before
+    for name in ("seeds", "d", "T", "m", "inner_epochs"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got True"):
+            ExperimentConfig(solver="interpolation", **{name: True})
 
 
 def test_parse_config_text():

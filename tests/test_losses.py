@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from dpsco import (
@@ -20,6 +22,7 @@ from dpsco import (
     loss_gradient,
     loss_value,
 )
+from dpsco.losses import _row_norms
 
 QA = QuadraticAnchor(H=1.0)
 IQ = IndicatorQuadratic(H=1.0)
@@ -346,3 +349,37 @@ def test_batch_ext_gradients_composes_gradients_and_clipping():
     raw = batch_gradients(QA, x, pts, None)
     expect, _ = clip_gradients(raw, 0.7)
     assert np.allclose(out, expect, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["quad", "indicator"]),
+    d=st.integers(1, 9),
+    k=st.integers(1, 5),
+    n0=st.integers(1, 300),
+    off=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="indicator", d=1, k=3, n0=200, off=0.4, seed=3)  # pairwise sums at d = 1
+def test_block_forms_equal_the_per_slice_forms(kind, d, k, n0, off, seed):
+    # the block walk sums, masks, differentiates and measures a (k, n0, d)
+    # block in one call each; every slice must give the bits of the
+    # one-slice forms, signed zeros included, at every d (at d = 1 numpy
+    # sums a slice pairwise, so padding off rows would move its bits)
+    fam = QA if kind == "quad" else IQ
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((k, n0, d)) * 10.0 ** rng.integers(-3, 4, (k, n0, 1))
+    block[rng.random((k, n0)) < off] = 0.0
+    block[rng.random(block.shape) < 0.05] = -0.0
+    points = rng.standard_normal((k, d))
+    means, counts, pulls = fam.block_anchors(block)
+    grads = fam.gradients(points, block)
+    norms = _row_norms(block)
+    for i in range(k):
+        anchors = fam.anchors(block[i])
+        if anchors.shape[0]:
+            assert means[i].tobytes() == anchors.mean(axis=0).tobytes()
+        assert counts[i] == anchors.shape[0]
+        assert np.array_equal(block[i][pulls[i]], anchors)
+        assert grads[i].tobytes() == fam.gradients(points[i], block[i]).tobytes()
+        assert norms[i].tobytes() == _row_norms(block[i]).tobytes()

@@ -1,5 +1,6 @@
-"""Run plans: a bit-identity guard over every solver, and the plan's
-independence from the noise and from the data's row order."""
+"""Run plans: a bit-identity guard over every solver, the plan's
+independence from the noise and from the data's row order, and the
+block walk of each plan's releases against one release at a time."""
 
 import hashlib
 import math
@@ -8,7 +9,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpsco import (
     Ball,
@@ -25,7 +26,7 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
-from _oracles import unclipped
+from _oracles import gradient_descent_only, unclipped
 from dpsco import base_solvers
 from dpsco.hardness import (
     make_lower_bound_instance,
@@ -56,14 +57,6 @@ def _feed_trace(h, trace) -> None:
         h.update(np.asarray(rec.iterate, dtype=np.float64).tobytes())
     for child in trace.children:
         _feed_trace(h, child)
-
-
-def _gradient_descent_only(fn):
-    """fn with every phase on gradient descent, the closed form refused."""
-    def run(*args, **kwargs):
-        with mock.patch.object(base_solvers, "_closed_form_valid", lambda *a: False):
-            return fn(*args, **kwargs)
-    return run
 
 
 def _restrict(inst, span=None, domain=None, L=None):
@@ -135,7 +128,7 @@ def _runs():
         add(f"erm-wrap-{tag}-{bname}", lipschitz_wrap, localization_erm, inst, L, c, 0.05, b, CFG, G)
         add(f"erm-tight-{tag}-{bname}", lipschitz_wrap, localization_erm,
             _restrict(inst, (3, 150), sub), 0.3 * L, c, 0.2, b, CFG, G)
-    add("growth-pgd-quad", _gradient_descent_only(lipschitz_wrap), epoch_growth_solver, quad,
+    add("growth-pgd-quad", gradient_descent_only(lipschitz_wrap), epoch_growth_solver, quad,
         0.5, x0, 3, 0.05, PURE, CFG, G)
     add("growth-degenerate", epoch_growth_solver, _restrict(quad, domain=point), x0, 3, 0.05,
         PURE, CFG, G)
@@ -209,3 +202,90 @@ def test_releases_depend_on_neither_the_noise_nor_the_row_order(
     spans = sorted(rel[0] for rel in first)
     assert spans and all(0 <= lo < hi <= n for lo, hi in spans)
     assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+def _one_release_at_a_time(fn):
+    """fn with every erm_plan walked one release at a time, each release a
+    block of one through ``solve_regularized_erm``: the reference the
+    block walk must equal bit for bit."""
+    def run(*args, **kwargs):
+        releases = base_solvers._releases
+
+        def single(inst, steps, x, center, radius, cfg, noise, tolerance=None):
+            if len(steps) == 1:  # solve_regularized_erm's own block of one
+                return releases(inst, steps, x, center, radius, cfg, noise, tolerance)
+            iterates, consumed = [], []
+            for step in steps:
+                c, r = (center, radius) if step.radius is None else (x, step.radius)
+                x, used = solve_regularized_erm(
+                    inst, x, step.eta, Ball(c, r), cfg, span=step.span, clip=step.clip,
+                    tolerance=step.sigma / 100.0 if step.sigma > 0 else None,
+                )
+                if step.sigma > 0:
+                    x = x + next(noise)
+                iterates.append(x)
+                consumed.append(used)
+            return iterates, consumed
+
+        with mock.patch.object(base_solvers, "_releases", single):
+            return fn(*args, **kwargs)
+    return run
+
+
+def _block_paths(fn):
+    """fn, also returning the block-walk paths it took: "mid-block" when a
+    release after an accepted one failed the check and the walk resumed
+    after it, "no-anchor" when a block held a release with no anchor."""
+    def run(*args, **kwargs):
+        count, paths = base_solvers._closed_form_count, set()
+
+        def spy(H, block, pulls, empty, centers, radii, clip):
+            accepted = count(H, block, pulls, empty, centers, radii, clip)
+            if 0 < accepted < len(radii) - 1:
+                paths.add("mid-block")
+            if any(empty):
+                paths.add("no-anchor")
+            return accepted
+
+        with mock.patch.object(base_solvers, "_closed_form_count", spy):
+            return fn(*args, **kwargs), paths
+    return run
+
+
+_EQ_INSTANCES = {
+    "quad": make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0),
+    "noisy": make_noisy_least_squares(2, 512, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0)),
+    "ind": make_lower_bound_instance(LowerBoundSpec(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0)),
+}
+_EQ_BUDGETS = {"pure": PURE, "gauss": GAUSS, "free": FREE}
+
+
+def _trace_digest(res) -> str:
+    h = hashlib.sha256(np.asarray(res.point, dtype=np.float64).tobytes())
+    _feed_trace(h, res.trace)
+    return h.hexdigest()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    tag=st.sampled_from(sorted(_EQ_INSTANCES)),
+    budget=st.sampled_from(sorted(_EQ_BUDGETS)),
+    solver=st.sampled_from(sorted(_SOLVERS)),
+    clip_factor=st.one_of(st.just(0.3), st.floats(0.8, 1.25)),
+    seed=st.integers(0, 2**32 - 1),
+    expect=st.just(None),
+)
+# the check fails after an accepted release: gradient descent, then the walk resumes
+@example(tag="noisy", budget="pure", solver="interpolation", clip_factor=0.3, seed=0,
+         expect="mid-block")
+# the indicator's first 256 rows are off, so the first releases have no anchor (k = 0)
+@example(tag="ind", budget="pure", solver="erm", clip_factor=1.0, seed=0, expect="no-anchor")
+def test_block_walk_equals_one_release_at_a_time(tag, budget, solver, clip_factor, seed, expect):
+    inst = _EQ_INSTANCES[tag]
+    args = (_SOLVERS[solver], inst, clip_factor * inst.constants.L)
+    block, paths = _block_paths(lipschitz_wrap)(*args, RngStream(seed, 1), _EQ_BUDGETS[budget])
+    single = _one_release_at_a_time(lipschitz_wrap)(*args, RngStream(seed, 1),
+                                                   _EQ_BUDGETS[budget])
+    # point, every EpochRecord (iterates included) and max_consumed_gradient
+    assert _trace_digest(block) == _trace_digest(single)
+    assert expect is None or expect in paths
