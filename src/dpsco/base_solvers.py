@@ -66,7 +66,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Ball, Vector, _project, as_point
+from .geometry import (
+    Ball, Vector, _check_count, _check_positive, _check_probability, _project, as_point,
+)
 from .losses import _row_norms, clip_gradients
 from .mechanisms import approx_noise_scale, pure_noise_scale, release_noise
 from .problems import EpochRecord, Instance, PrivacyBudget, RunTrace
@@ -78,11 +80,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, gradient_norm: float):
         super().__init__(message)
         self.gradient_norm = gradient_norm
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be a positive real, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,7 @@ class InnerSolveConfig:
 
     def __post_init__(self):
         _check_positive("tolerance", self.tolerance)
-        m = self.max_iterations
-        if isinstance(m, bool) or not (isinstance(m, int) and m >= 1):
-            raise ValueError(f"max_iterations must be a positive integer, got {m}")
+        _check_count("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -129,19 +124,20 @@ def solve_regularized_erm(
     Returns (minimizer, max consumed gradient norm at the minimizer).
     Raises ConvergenceError when gradient descent cannot reach tolerance
     within cfg.max_iterations. This is the executor's release walk on a
-    block of one release, without noise.
+    block of one release, without noise. The clip level is a positive
+    real that may also be infinite: no clipping, the default.
     """
     center = as_point(center, inst.d)
     if domain.d != inst.d:
         raise ValueError(f"domain has dimension {domain.d}, expected {inst.d}")
     _check_positive("eta", eta)
-    if not clip > 0:
-        raise ValueError(f"clip level must be positive, got {clip}")
+    if clip != math.inf:
+        _check_positive("clip level", clip)
     if tolerance is not None:
         _check_positive("tolerance", tolerance)
-    lo, hi = (0, inst.n) if span is None else (int(span[0]), int(span[1]))
-    if not (0 <= lo < hi <= inst.n):
-        raise ValueError(f"span {span} out of range for {inst.n} samples")
+    lo, hi = (0, inst.n) if span is None else span
+    _check_count("span start", lo, lo=0, hi=inst.n - 1)
+    _check_count("span end", hi, lo=lo + 1, hi=inst.n)
     step = Step((lo, hi), None, None, clip, 0.0, eta)
     (x,), (consumed,) = _releases(
         inst, (step,), center, domain.center, domain.radius, cfg, iter(()), tolerance
@@ -334,6 +330,7 @@ def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: Privacy
 
 def default_inner_epochs(m: int, kappa_floor: float) -> int:
     """Epoch count for the inner growth solver on a block of m samples."""
+    _check_count("m", m)
     if m < 2:
         return 1
     return max(1, min(m, math.ceil(2.0 * math.log(m) / (kappa_floor - 1.0))))
@@ -343,8 +340,9 @@ def growth_step_size(
     r0: float, clipL: float, n0: int, beta: float, d: int, budget: PrivacyBudget
 ) -> float:
     """Initial step of the epoch growth solver (its two-branch minimum)."""
-    if not (0 < beta < 1):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_count("n0", n0)
+    _check_probability("beta", beta)
+    _check_count("d", d)
     log_term = math.log(1.0 / beta)
     stat = (
         1.0 / math.sqrt(n0 * math.log(n0) * log_term) if n0 >= 2 else math.inf
@@ -365,8 +363,7 @@ def growth_plan(
     n_span = hi - lo
     if T is None:
         T = default_inner_epochs(n_span, kappa_floor)
-    if isinstance(T, bool) or not (isinstance(T, int) and T >= 1):
-        raise ValueError(f"T must be a positive integer, got {T}")
+    _check_count("T", T)
     _check_positive("clip level", clipL)
     n0 = n_span // T
     if n0 < 1:
@@ -471,8 +468,7 @@ def epoch_growth_solver(
     eta_i = 2^{-i} eta0.
     """
     x = as_point(x0, inst.d)
-    if T is None:  # the default epoch count is for nested runs only
-        raise ValueError("T must be a positive integer, got None")
+    _check_count("T", T)  # None too: the default epoch count is for nested runs only
     plan = growth_plan(
         0, inst.n, T, beta, inst.constants.L, inst.domain.radius, inst.d, budget
     )

@@ -26,6 +26,7 @@ from .base_solvers import (
     lipschitz_wrap,
     localization_erm,
 )
+from .geometry import _check_count, _check_positive, _check_probability
 from .hardness import (
     LowerBoundSpec,
     PackingSpec,
@@ -119,49 +120,37 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown family {self.family!r}; choose from {tuple(_INSTANCE_BUILDERS)}"
             )
+        for n in self.n_grid:
+            _check_count("n_grid entry", n, lo=2)
         grid = tuple(int(n) for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid must be nonempty")
-        if any(n < 2 for n in grid):
-            raise ValueError(f"n_grid entries must be >= 2, got {grid}")
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise ValueError(f"n_grid must be strictly increasing, got {grid}")
         object.__setattr__(self, "n_grid", grid)
-        # bool is an int subclass; True would run one seed in one dimension
         for name in ("seeds", "d"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        # an infinite eps would silently drop every noise draw, and the
-        # generators compute with these values before any family sees them
-        for name in ("eps", "H", "margin"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+            _check_count(name, getattr(self, name))
+        # an infinite eps would silently drop every noise draw, an infinite
+        # mu or scale leaves no failure budget or no shrink, and the
+        # generators compute with H and margin before any family sees them
+        for name in ("eps", "H", "margin", "mu", "constant_scale"):
+            _check_positive(name, getattr(self, name))
+        if self.delta != 0:  # zero is pure DP
+            _check_probability("nonzero delta", self.delta)
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.beta is not None and not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        if self.beta is not None:
+            _check_probability("beta", self.beta)
         for name in ("T", "m", "inner_epochs"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not (isinstance(v, int) and v >= 1)):
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        if not self.constant_scale > 0:
-            raise ValueError(f"constant_scale must be positive, got {self.constant_scale}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
+        for name in ("eta", "radius"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         if self.family == IndicatorQuadratic.tag and self.xstar_offset == 0:
             raise ValueError(f"{IndicatorQuadratic.tag} needs a nonzero xstar_offset")
-        if self.radius is not None:
-            if not self.radius > 0:
-                raise ValueError(f"radius must be positive, got {self.radius}")
-            if self.family != QuadraticAnchor.tag:
-                raise ValueError(
-                    f"radius is only supported for the {QuadraticAnchor.tag} family"
-                )
+        if self.radius is not None and self.family != QuadraticAnchor.tag:
+            raise ValueError(f"radius is only supported for the {QuadraticAnchor.tag} family")
         if self.noise_std > 0 and self.family != QuadraticAnchor.tag:
             raise ValueError(f"noise_std is only supported for the {QuadraticAnchor.tag} family")
         if self.eta is not None and self.solver != "localization-erm":
@@ -381,6 +370,7 @@ def _sweep_cell(cfg: ExperimentConfig, seed_base: int, n: int, seed: int) -> dic
 
 def run_sweep(cfg: ExperimentConfig, seed_base: int = 0) -> list[dict]:
     """All (n, seed) cells in grid order."""
+    _check_count("seed_base", seed_base, lo=0)
     cells = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
     return [_sweep_cell(cfg, seed_base, n, seed) for n, seed in cells]
 
@@ -529,10 +519,8 @@ def run_audit(
     ``size=trials`` Laplace draw for the first dataset, then one for the
     second, from the stream's generator.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    _check_count("n", n)
+    _check_positive("eps", eps)
     if threshold is not None and not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     if threshold is None:

@@ -18,12 +18,11 @@ domain-boundary anchor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Vector, as_point
+from .geometry import Ball, Vector, _check_count, _check_positive, as_point
 from .losses import IndicatorQuadratic, QuadraticAnchor, SmoothedHingeMargin
 from .mechanisms import as_generator
 from .problems import (
@@ -39,12 +38,6 @@ from .problems import (
 # -- parameter records -------------------------------------------------------
 
 
-def _check_sizes(d, n) -> None:
-    for name, value in (("d", d), ("n", n)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value}")
-
-
 @dataclass(frozen=True)
 class LowerBoundSpec:
     """Indicator-quadratic lower-bound construction: n - k off samples,
@@ -57,15 +50,14 @@ class LowerBoundSpec:
     H: float
 
     def __post_init__(self):
-        _check_sizes(self.d, self.n)
-        if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
-            raise ValueError(f"k must satisfy 1 <= k <= n, got {self.k}")
+        _check_count("d", self.d)
+        _check_count("n", self.n)
+        _check_count("k", self.k, hi=self.n)
         object.__setattr__(self, "v", as_point(self.v, self.d).copy())
         if not self.v.any():
             raise ValueError("v must be nonzero (the zero payload is the off state)")
         self.v.setflags(write=False)
-        if not self.H > 0:
-            raise ValueError(f"H must be positive, got {self.H}")
+        _check_positive("H", self.H)
 
 
 @dataclass(frozen=True)
@@ -77,12 +69,10 @@ class PackingSpec:
     d: int
 
     def __post_init__(self):
-        if not self.D > 0:
-            raise ValueError(f"D must be positive, got {self.D}")
+        _check_positive("D", self.D)
         if not (0 < self.gamma <= self.D / 2):
             raise ValueError(f"gamma must lie in (0, D/2], got {self.gamma}")
-        if not (isinstance(self.d, int) and 1 <= self.d <= 3):
-            raise ValueError(f"packing supports d in 1..3, got {self.d}")
+        _check_count("d", self.d, hi=3)
 
 
 @dataclass(frozen=True)
@@ -94,13 +84,11 @@ class SuperefficiencyParams:
     anchor: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, int) and self.r >= 1):
-            raise ValueError(f"removal count r must be a positive integer, got {self.r}")
+        _check_count("r", self.r)
 
     @classmethod
     def from_epsilon(cls, eps: float, anchor: float) -> "SuperefficiencyParams":
-        if not eps > 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        _check_positive("eps", eps)
         return cls(r=math.ceil(1.0 / eps), anchor=anchor)
 
 
@@ -127,7 +115,8 @@ def make_noiseless_least_squares(
     Population risk (H/2)||x - xstar||^2, so the growth coefficient is
     exactly H. Deterministic, so it takes no random stream.
     """
-    _check_sizes(d, n)
+    _check_count("d", d)
+    _check_count("n", n)
     xstar = as_point(xstar, d)
     R = float(radius) if radius is not None else max(1.0, 2.0 * float(np.linalg.norm(xstar)))
     domain = Ball(np.zeros(d), R)
@@ -151,10 +140,10 @@ def make_noisy_least_squares(
 ) -> Instance:
     """Least squares with anchors xstar + noise_std * N(0, I): no longer
     interpolating, but still H-growth around the anchor mean."""
-    _check_sizes(d, n)
+    _check_count("d", d)
+    _check_count("n", n)
     xstar = as_point(xstar, d)
-    if not 0 < noise_std < math.inf:
-        raise ValueError(f"noise_std must be positive and finite, got {noise_std}")
+    _check_positive("noise_std", noise_std)
     gen = as_generator(rng)
     points = xstar[None, :] + noise_std * gen.standard_normal((n, d))
     mean = points.mean(axis=0)
@@ -189,9 +178,9 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     drawn that a one-row-at-a-time loop would not draw, so the points,
     labels and the generator's final state equal that loop's bit for bit.
     """
-    _check_sizes(d, n)
-    if not 0 < margin < math.inf:
-        raise ValueError(f"margin must be positive and finite, got {margin}")
+    _check_count("d", d)
+    _check_count("n", n)
+    _check_positive("margin", margin)
     gen = as_generator(rng)
     direction = gen.standard_normal(d)
     direction /= np.linalg.norm(direction)
@@ -315,8 +304,7 @@ class Quadratic1D:
     minimizer: float
 
     def __post_init__(self):
-        if not self.coef > 0:
-            raise ValueError(f"coef must be positive, got {self.coef}")
+        _check_positive("coef", self.coef)
 
 
 @dataclass(frozen=True)
@@ -353,8 +341,7 @@ def superefficiency_construct(
     r D / n and 8 H D r / (lambda n) with D the domain radius.
     """
     lam, H = base.constants.growth, base.constants.H
-    if not lam > 0:
-        raise ValueError("base instance must declare positive growth")
+    _check_positive("growth", lam)
     if not is_interpolating(base, tol=1e-10):
         raise ValueError("base instance must interpolate (zero gradients at the optimum)")
     if params.r >= base.n:
@@ -407,8 +394,7 @@ def modulus_oracle(base: Instance, k: int) -> ModulusReport:
     how many of the swapped rows were previously off (none for the plain
     quadratic). Values are cumulative maxima, hence monotone in j.
     """
-    if not (isinstance(k, int) and 0 <= k < base.n):
-        raise ValueError(f"k must be an integer in [0, n), got {k}")
+    _check_count("k", k, lo=0, hi=base.n - 1)
     vals = np.sort(_active_values_1d(base))
     D = base.domain.radius
     n = base.n
@@ -448,8 +434,7 @@ def stability_bound_check(
     base: Instance, swapped: Instance, k: int, constants: LossConstants
 ) -> StabilityReport:
     """Minimizer shift of a <= k-sample swap against 4 k L / (lambda n)."""
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    _check_count("k", k, lo=0)
     if base.n != swapped.n or base.d != swapped.d:
         raise ValueError("instances must share n and d")
     if type(base.family) is not type(swapped.family):
@@ -460,8 +445,7 @@ def stability_bound_check(
     differing = int(differ.sum())
     if differing > k:
         raise ValueError(f"instances differ in {differing} samples, more than k = {k}")
-    if not constants.growth > 0:
-        raise ValueError("stability bound needs a positive growth coefficient")
+    _check_positive("growth", constants.growth)
     distance = float(np.linalg.norm(exact_minimizer(base) - exact_minimizer(swapped)))
     bound = 4.0 * k * constants.L / (constants.growth * base.n)
     return StabilityReport(
@@ -481,8 +465,7 @@ def growth_closure_check(base: Instance, r: int) -> GrowthReport:
     bound is lambda - H / (n * (1/r)), that is lambda - H r / n computed
     through 1/r; r = 0 leaves the declared coefficient untouched.
     """
-    if not (isinstance(r, int) and 0 <= r < base.n):
-        raise ValueError(f"r must be an integer in [0, n), got {r}")
+    _check_count("r", r, lo=0, hi=base.n - 1)
     if base.family.anchors is None:
         raise ValueError("growth closure needs a quadratic family")
     H = base.constants.H

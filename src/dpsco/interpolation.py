@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .base_solvers import InnerSolveConfig, Plan, SolverResult, _nested, _run, growth_plan
-from .geometry import as_point
+from .geometry import _check_count, _check_positive, _check_probability, as_point
 from .problems import Instance, PrivacyBudget, Schedule
 
 
@@ -84,26 +84,19 @@ class ShrinkFormulaParams:
     kappa: float = 2.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"leading constant must be positive, got {self.c}")
-        if not (isinstance(self.T, int) and self.T >= 1):
-            raise ValueError(f"T must be a positive integer, got {self.T}")
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise ValueError(f"block size must be an integer >= 2, got {self.m}")
-        if not (0 < self.beta < 1):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not self.growth > 0:
-            raise ValueError(f"growth coefficient must be positive, got {self.growth}")
+        _check_positive("c", self.c)
+        _check_count("T", self.T)
+        _check_count("m", self.m, lo=2)
+        _check_probability("beta", self.beta)
+        _check_count("d", self.d)
+        _check_positive("growth", self.growth)
         if not self.kappa >= 2:
             raise ValueError(f"growth exponent must be at least 2, got {self.kappa}")
 
 
 def shrink_diameter(L_i: float, p: ShrinkFormulaParams) -> float:
     """Next ball diameter from the current clip level."""
-    if not L_i > 0:
-        raise ValueError(f"clip level must be positive, got {L_i}")
+    _check_positive("clip level", L_i)
     log_fail = math.log(p.T / p.beta)
     log_m = math.log(p.m)
     stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(p.m)
@@ -133,8 +126,7 @@ def localize_plan(
     ball shrunk by the kappa rule around the previous epoch's output. A
     shrink that is zero or not finite ends the plan early (noted)."""
     lam = inst.constants.growth
-    if not lam > 0:
-        raise ValueError("localization needs a positive growth coefficient")
+    _check_positive("growth", lam)
     lo, hi = span
     T, m = schedule.T, schedule.m
     if T * m > hi - lo:
@@ -189,6 +181,8 @@ def interpolation_localization(
     iterate (noted in the trace).
     """
     x = as_point(x0, inst.d)
+    if inner_epochs is not None:
+        _check_count("inner_epochs", inner_epochs)
     plan = localize_plan(
         inst, schedule, budget, inst.constants.kappa, (0, inst.n), inst.domain.radius,
         inner_epochs,
@@ -200,13 +194,12 @@ def interpolation_width(
     n: int, constants, d: int, budget: PrivacyBudget, beta: float, constant_scale: float
 ) -> float:
     """Diameter of the ball the adaptive solver trusts around phase 1."""
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if not (0 < beta < 1):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_count("n", n, lo=2)
+    _check_count("d", d)
+    _check_probability("beta", beta)
+    _check_positive("constant_scale", constant_scale)
     lam = constants.growth
-    if not lam > 0:
-        raise ValueError("interpolation width needs a positive growth coefficient")
+    _check_positive("growth", lam)
     log_fail = math.log(2.0 / beta)
     log_n = math.log(n)
     eps, delta = budget.eps, budget.delta
@@ -239,6 +232,8 @@ def adaptive_solver(
     x = as_point(x0, inst.d)
     if inst.n < 2:
         raise ValueError("adaptive solver needs at least 2 samples")
+    if inner_epochs is not None:
+        _check_count("inner_epochs", inner_epochs)
     half, L, beta = inst.n // 2, inst.constants.L, schedule.beta
     phase1 = growth_plan(
         0, half, inner_epochs, beta / 2.0, L, inst.domain.radius, inst.d, budget,
@@ -268,15 +263,12 @@ def schedule_block_size(
     n: int, constants, d: int, budget: PrivacyBudget, mu: float, constant_scale: float = 1.0
 ) -> float:
     """Real-valued block size of the default schedule rule (before rounding)."""
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not constant_scale > 0:
-        raise ValueError(f"constant_scale must be positive, got {constant_scale}")
+    _check_count("n", n, lo=2)
+    _check_count("d", d)
+    _check_positive("mu", mu)
+    _check_positive("constant_scale", constant_scale)
     lam = constants.growth
-    if not lam > 0:
-        raise ValueError("the schedule rule needs a positive growth coefficient")
+    _check_positive("growth", lam)
     log_n = math.log(n)
     log_fail = mu * log_n  # ln(1/beta) at beta = n^{-mu}
     eps, delta = budget.eps, budget.delta
@@ -293,7 +285,7 @@ def default_schedule(
     Raises ScheduleInfeasibleError when the rule's block exceeds n; the
     error carries the raw block size and the largest feasible
     constant_scale (the rule is linear in the scale). Raises ValueError
-    when the rule's block size is not finite (an infinite mu or scale).
+    when the rule's block size overflows to infinity (a huge scale).
     """
     raw = schedule_block_size(n, constants, d, budget, mu, constant_scale)
     if not math.isfinite(raw):
@@ -311,8 +303,7 @@ def default_schedule(
             feasible_scale=feasible,
         )
     beta = float(n) ** (-mu)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta = n^-mu = {beta} must lie in (0, 1)")
+    _check_probability("beta = n^-mu", beta)
     return Schedule(T=n // m, m=m, beta=beta, constant_scale=constant_scale)
 
 
@@ -324,15 +315,11 @@ def sample_complexity(alpha: float, rho: float, d: int, budget: PrivacyBudget) -
     md = d for pure DP and sqrt(d ln(1/delta)) otherwise. A non-finite
     rho or eps, or a count that overflows, raises ValueError.
     """
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    _check_probability("alpha", alpha)
+    _check_positive("rho", rho)
+    _check_count("d", d)
     eps, delta = budget.eps, budget.delta
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+    _check_positive("eps", eps)
     md = math.sqrt(d * math.log(1.0 / delta)) if delta > 0 else float(d)
     try:
         samples = alpha**-rho + (md / (rho * eps)) * math.log(1.0 / alpha)

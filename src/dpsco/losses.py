@@ -47,7 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import Vector, as_point
+from .geometry import Vector, _check_positive, as_point
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class QuadraticAnchor:
     labeled: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not (self.H > 0 and math.isfinite(self.H)):
-            raise ValueError(f"curvature H must be positive and finite, got {self.H}")
+        _check_positive("H", self.H)
 
     def anchors(self, points: np.ndarray) -> np.ndarray:
         """The payload rows that pull: all of them."""
@@ -156,12 +155,10 @@ class SmoothedHingeMargin:
     anchors: ClassVar[None] = None
 
     def __post_init__(self):
-        if not (self.margin > 0 and math.isfinite(self.margin)):
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        _check_positive("margin", self.margin)
         if self.tau is None:
             object.__setattr__(self, "tau", self.margin / 2.0)
-        if not (0 < self.tau and math.isfinite(self.tau)):
-            raise ValueError(f"smoothing width tau must be positive and finite, got {self.tau}")
+        _check_positive("tau", self.tau)
 
     def values(self, x: Vector, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         u = self.margin - labels * (points @ x)
@@ -194,7 +191,11 @@ FAMILIES = {cls.tag: cls for cls in (QuadraticAnchor, IndicatorQuadratic, Smooth
 
 @dataclass(frozen=True)
 class ExtensionQuery:
-    """One extension evaluation: query point, sample payload, clip level."""
+    """One extension evaluation: query point, sample payload, clip level.
+
+    The clip level is a positive real that may also be infinite: no
+    clipping, so the extension is the loss itself.
+    """
 
     x: Vector
     payload: Vector
@@ -204,8 +205,8 @@ class ExtensionQuery:
     def __post_init__(self):
         object.__setattr__(self, "x", as_point(self.x))
         object.__setattr__(self, "payload", as_point(self.payload, self.x.shape[0]))
-        if not self.clipL > 0:
-            raise ValueError(f"clip level must be positive, got {self.clipL}")
+        if self.clipL != math.inf:
+            _check_positive("clip level", self.clipL)
 
 
 def _check_labels(family: LossFamily, labels) -> None:

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _check_count, _check_positive, _check_probability
+
 
 class InconclusiveAuditError(RuntimeError):
     """Too little histogram mass to state a privacy-loss estimate."""
@@ -42,10 +44,8 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not (isinstance(self.stream, int) and self.stream >= 0):
-            raise ValueError(f"stream must be a nonnegative integer, got {self.stream}")
+        _check_count("seed", self.seed, lo=0)
+        _check_count("stream", self.stream, lo=0)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at this stream's initial state (replayable)."""
@@ -76,28 +76,32 @@ def release_noise(sigmas, d: int, rng, gaussian: bool) -> np.ndarray:
         raise ValueError(f"noise scales must be one-dimensional, got shape {sigmas.shape}")
     if not np.all(sigmas > 0):
         raise ValueError(f"noise scales must be positive, got {sigmas}")
-    if not (isinstance(d, int) and d >= 0):
-        raise ValueError(f"dimension must be a nonnegative integer, got {d}")
+    _check_count("d", d, lo=0)
     gen = as_generator(rng)
     draw = gen.normal if gaussian else gen.laplace
     return draw(0.0, 1.0, size=(sigmas.shape[0], d)) * sigmas[:, None]
 
 
 def pure_noise_scale(L: float, eta: float, d: int, eps: float) -> float:
-    """Laplace scale 4 L eta sqrt(d) / eps for pure-DP output perturbation."""
-    if not (L > 0 and eta > 0 and eps > 0):
-        raise ValueError(f"L, eta, eps must be positive, got {L}, {eta}, {eps}")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    """Laplace scale 4 L eta sqrt(d) / eps for pure-DP output perturbation.
+
+    eps is a budget's, so it may be infinite (no privacy): scale zero."""
+    _check_positive("L", L)
+    _check_positive("eta", eta)
+    if eps != math.inf:
+        _check_positive("eps", eps)
+    _check_count("d", d)
     return 4.0 * L * eta * math.sqrt(d) / eps
 
 
 def approx_noise_scale(L: float, eta: float, eps: float, delta: float) -> float:
-    """Gaussian scale 4 L eta sqrt(ln(1/delta)) / eps for (eps, delta)-DP."""
-    if not (L > 0 and eta > 0 and eps > 0):
-        raise ValueError(f"L, eta, eps must be positive, got {L}, {eta}, {eps}")
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    """Gaussian scale 4 L eta sqrt(ln(1/delta)) / eps for (eps, delta)-DP;
+    an infinite eps gives scale zero, as in ``pure_noise_scale``."""
+    _check_positive("L", L)
+    _check_positive("eta", eta)
+    if eps != math.inf:
+        _check_positive("eps", eps)
+    _check_probability("delta", delta)
     return 4.0 * L * eta * math.sqrt(math.log(1.0 / delta)) / eps
 
 
@@ -111,10 +115,8 @@ class AuditConfig:
     clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.trials, int) and self.trials >= 10_000):
-            raise ValueError(f"trials must be an integer >= 10000, got {self.trials}")
-        if not (isinstance(self.bins, int) and self.bins >= 2):
-            raise ValueError(f"need at least 2 bins, got {self.bins}")
+        _check_count("trials", self.trials, lo=10_000)
+        _check_count("bins", self.bins, lo=2)
         if self.clamp is not None and not self.clamp[0] < self.clamp[1]:
             raise ValueError(f"clamp range must be increasing, got {self.clamp}")
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Vector, as_point, project_onto_ball
+from .geometry import (
+    Ball, Vector, _check_count, _check_positive, _check_probability, as_point, project_onto_ball,
+)
 from .losses import FAMILIES, LossFamily, batch_gradients, batch_values
 
 
@@ -24,16 +26,20 @@ class UnsupportedFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(eps, delta) differential privacy target; delta = 0 means pure DP."""
+    """(eps, delta) differential privacy target; delta = 0 means pure DP.
+
+    eps is a positive real that may also be infinite: the budget-off
+    sentinel, under which every noise scale is zero and no noise is drawn.
+    """
 
     eps: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not (0 <= self.delta < 1):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+        if self.eps != math.inf:
+            _check_positive("eps", self.eps)
+        if self.delta != 0:  # zero is pure DP
+            _check_probability("nonzero delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,11 @@ class LossConstants:
     kappa_floor: float = 2.0
 
     def __post_init__(self):
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError(f"L must be positive, got {self.L}")
-        if not (self.H > 0 and math.isfinite(self.H)):
-            raise ValueError(f"H must be positive, got {self.H}")
+        _check_positive("L", self.L)
+        _check_positive("H", self.H)
         if not (self.growth >= 0 and math.isfinite(self.growth)):
             raise ValueError(f"growth must be nonnegative, got {self.growth}")
+        _check_positive("kappa", self.kappa)  # so kappa_floor <= kappa is finite too
         if not self.kappa_floor > 1:
             raise ValueError(f"kappa_floor must exceed 1, got {self.kappa_floor}")
         if not self.kappa >= self.kappa_floor:
@@ -231,13 +236,10 @@ class Schedule:
     constant_scale: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("T", self.T), ("m", self.m)):
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-        if not (0 < self.beta < 1):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.constant_scale > 0:
-            raise ValueError(f"constant_scale must be positive, got {self.constant_scale}")
+        _check_count("T", self.T)
+        _check_count("m", self.m)
+        _check_probability("beta", self.beta)
+        _check_positive("constant_scale", self.constant_scale)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def test_inner_config_validation():
             InnerSolveConfig(tolerance=tol)
     # bool is an int subclass; True would cap every phase at one step
     for bad in (0, True):
-        with pytest.raises(ValueError, match=f"must be a positive integer, got {bad}"):
+        with pytest.raises(ValueError, match=f"max_iterations must be an integer >= 1, got {bad}"):
             InnerSolveConfig(max_iterations=bad)
 
 
@@ -381,7 +381,7 @@ def test_epoch_growth_validation():
         epoch_growth_solver(inst, [0.0], 0, 0.1, PURE, CFG, RngStream(0))
     with pytest.raises(ValueError):
         epoch_growth_solver(inst, [0.0], 20, 0.1, PURE, CFG, RngStream(0))
-    with pytest.raises(ValueError, match="T must be a positive integer, got True"):
+    with pytest.raises(ValueError, match="T must be an integer >= 1, got True"):
         epoch_growth_solver(inst, [0.0], True, 0.1, PURE, CFG, RngStream(0))
 
 

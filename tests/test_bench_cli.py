@@ -73,7 +73,7 @@ def test_config_defaults_and_validation():
             ExperimentConfig(**kwargs)
     # bool is an int subclass; each of these constructed before
     for name in ("seeds", "d", "T", "m", "inner_epochs"):
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got True"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got True"):
             ExperimentConfig(solver="interpolation", **{name: True})
 
 
@@ -259,6 +259,31 @@ def test_audit_retries_once_then_reports_failure():
     assert outcome.epsilon_hat == 1.1275998255413622  # fresh stream, still above
 
 
+# epsilon_hat bits of the perfbench audit workload's two ops at round seeds
+# 0..9: calibrated on stream 0, control on stream 2; every op passes first time
+AUDIT_PINS = [
+    ("0x1.5a7528b83aed9p+0", "0x1.7f7427b73e391p+1"),
+    ("0x1.31a4e7240c778p+0", "0x1.96ca77c922cf8p+1"),
+    ("0x1.2388c71d70a2ep+0", "0x1.51cca16d7bba7p+1"),
+    ("0x1.37f44f01ed929p+0", "0x1.51cca16d7bba7p+1"),
+    ("0x1.2a6eb240c6efdp+0", "0x1.9c041f7ed8d33p+1"),
+    ("0x1.286aa0fb0d577p+0", "0x1.62e42fefa39efp+1"),
+    ("0x1.29ed9cb6269c4p+0", "0x1.312c5243674f4p+1"),
+    ("0x1.2a63a453bb60cp+0", "0x1.78e360604b32cp+1"),
+    ("0x1.39cfb00cedaf8p+0", "0x1.9157dfdd1b3f0p+1"),
+    ("0x1.34378fcbda720p+0", "0x1.78e360604b32cp+1"),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(AUDIT_PINS)))
+def test_audit_on_the_benchmark_streams_is_pinned(seed):
+    calibrated = run_audit(rng=RngStream(seed, 0))
+    control = run_audit(control=True, rng=RngStream(seed, 2))
+    assert (calibrated.epsilon_hat.hex(), control.epsilon_hat.hex()) == AUDIT_PINS[seed]
+    for outcome in (calibrated, control):
+        assert outcome.passed and not outcome.retried
+
+
 # ----------------------------------------------------------- oracle battery
 
 
@@ -364,10 +389,20 @@ def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
     assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["constant_scale=inf", "constant_scale=1e308", "mu=inf"])
-def test_cli_non_finite_block_size_is_a_config_error(override, capsys):
+@pytest.mark.parametrize(
+    "override, reason",
+    [
+        # an infinite scale or mu is refused by the config, before any block size
+        pytest.param("constant_scale=inf", "constant_scale must be a positive real, got inf",
+                     id="constant_scale=inf"),
+        pytest.param("constant_scale=1e308", "block-size rule gives a non-finite",
+                     id="constant_scale=1e308"),
+        pytest.param("mu=inf", "mu must be a positive real, got inf", id="mu=inf"),
+    ],
+)
+def test_cli_non_finite_block_size_is_a_config_error(override, reason, capsys):
     assert main(["sweep", "--set", override]) == 2
-    assert capsys.readouterr().err.startswith("config error: block-size rule gives a non-finite")
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
 
 
 @pytest.mark.parametrize(
@@ -419,8 +454,8 @@ def test_cli_non_finite_config_value_is_rejected_before_any_generator(key, value
         warnings.simplefilter("error")
         assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key} must be ")
-    assert "and finite" in err
+    rule = "nonnegative and finite" if key == "noise_std" else "a positive real"
+    assert err.startswith(f"config error: {key} must be {rule}, got {value}")
 
 
 @pytest.mark.parametrize(
@@ -522,9 +557,9 @@ def test_cli_complexity(capsys):
 @pytest.mark.parametrize(
     "override, reason",
     [
-        ("eps=inf", "eps must be finite"),
-        ("rho=inf", "rho must be positive and finite"),
-        ("rho=nan", "rho must be positive and finite"),
+        ("eps=inf", "eps must be a positive real, got inf"),
+        ("rho=inf", "rho must be a positive real, got inf"),
+        ("rho=nan", "rho must be a positive real, got nan"),
         ("rho=1e-320", "sample count overflows"),
         ("rho=400", "sample count overflows"),
     ],

@@ -150,7 +150,7 @@ def test_margin_batched_draw_equals_per_row_draw_at_benchmark_shape():
 _SIZE_CASES = [
     pytest.param(
         *((bad, 4) if name == "d" else (2, bad)),
-        f"{name} must be a positive integer, got {bad}",
+        f"{name} must be an integer >= 1, got {bad!r}",
         id=f"{name}={bad}",
     )
     for name, bad in (("d", 0), ("d", -1), ("d", 2.0), ("d", True), ("n", 0), ("n", -3), ("n", 5.5))

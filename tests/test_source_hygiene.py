@@ -1,5 +1,6 @@
 """Source checks that need no linter: every import in the package is
-used, and every public name has a caller outside the tests."""
+used, every public name has a caller outside the tests, and only the
+validation funnel tests whether a value is an integer."""
 
 import ast
 import inspect
@@ -12,6 +13,9 @@ import dpsco
 PACKAGE = Path(dpsco.__file__).resolve().parent
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the one module that tests for an integer type (its count rule), and the one
+# function elsewhere that does so to format output, not to validate input
+INTEGER_TESTS_ALLOWED = {("geometry.py", None), ("bench.py", "_format_cell")}
 # the benchmark harness is the one caller outside the package and the tests
 PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 # The single-row and single-phase reference forms: the tests pin the
@@ -94,3 +98,64 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     sources = [path.read_text(encoding="utf-8") for path in MODULES + PERFBENCH]
     # an allowed name that gains a caller leaves the list
     assert _uncalled(public, sources) == sorted(TEST_ONLY_ALLOWED)
+
+
+def _integer_type_tests(source: str) -> list[tuple[str | None, int]]:
+    """(innermost function or None, line) of each test for an integer
+    type: ``isinstance`` or ``issubclass`` against ``int`` or numpy's
+    ``integer``, a comparison with ``int`` (``type(v) is int``), and any
+    use of ``numbers.Integral``."""
+    found = []
+
+    def is_int(node):
+        return (isinstance(node, ast.Name) and node.id == "int") or (
+            isinstance(node, ast.Attribute) and node.attr == "integer"
+        )
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        flagged = False
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "isinstance", "issubclass"
+        ) and len(node.args) == 2:
+            kinds = node.args[1]
+            flagged = any(map(is_int, kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+        elif isinstance(node, ast.Compare):
+            flagged = any(map(is_int, [node.left, *node.comparators]))
+        elif "Integral" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            flagged = True
+        if flagged:
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_checker_flags_every_integer_type_test():
+    source = (
+        "import numbers\n"
+        "def a(v):\n    return isinstance(v, int)\n"
+        "def b(v):\n    return isinstance(v, (bool, int))\n"
+        "def c(v):\n    return isinstance(v, numbers.Integral)\n"
+        "def d(v):\n    return issubclass(type(v), np.integer)\n"
+        "def e(v):\n    return type(v) is int\n"
+        "def f(v):\n    return isinstance(v, (bool, float)) or int(v) == v\n"
+        "flag = isinstance(0, int)\n"
+    )
+    assert _integer_type_tests(source) == [
+        ("a", 3), ("b", 5), ("c", 7), ("d", 9), ("e", 11), (None, 14),
+    ]
+
+
+def test_only_the_validation_funnel_tests_for_an_integer_type():
+    found = [
+        f"{path.name} line {line} ({func})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, line in _integer_type_tests(path.read_text(encoding="utf-8"))
+        if (path.name, None) not in INTEGER_TESTS_ALLOWED
+        and (path.name, func) not in INTEGER_TESTS_ALLOWED
+    ]
+    assert found == []

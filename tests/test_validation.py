@@ -1,0 +1,240 @@
+"""The scalar rules of ``dpsco.geometry``, applied at every public entry.
+
+Every public function or class that takes a count rejects a bool, the
+integer just below its lower bound (and just above its upper bound, if
+it has one), -1 and 2.5, each with an error that names the argument,
+and gives a numpy integer the same result as the equal int. A positive
+real that a formula cannot use at infinity is refused there.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dpsco import (
+    AuditConfig,
+    ExperimentConfig,
+    InnerSolveConfig,
+    LossConstants,
+    LowerBoundSpec,
+    PackingSpec,
+    PrivacyBudget,
+    Quadratic1D,
+    RngStream,
+    Schedule,
+    ShrinkFormulaParams,
+    SuperefficiencyParams,
+    adaptive_solver,
+    approx_noise_scale,
+    as_point,
+    build_instance,
+    default_inner_epochs,
+    default_schedule,
+    epoch_growth_solver,
+    growth_closure_check,
+    growth_step_size,
+    interpolation_localization,
+    interpolation_width,
+    make_lower_bound_instance,
+    make_margin_classification,
+    make_noiseless_least_squares,
+    make_noisy_least_squares,
+    make_packing,
+    modulus_oracle,
+    pinch_check,
+    pure_noise_scale,
+    release_noise,
+    run_audit,
+    run_oracles,
+    run_sweep,
+    sample_complexity,
+    schedule_block_size,
+    solve_regularized_erm,
+    stability_bound_check,
+    superefficiency_construct,
+)
+
+PURE = PrivacyBudget(1.0)
+CFG = InnerSolveConfig()
+# 1-D interpolating base of the oracle battery, and a 2-D solver instance
+BASE = make_noiseless_least_squares(1, 100, np.zeros(1), 1.0, radius=1.0)
+INST = make_noiseless_least_squares(2, 64, [0.5, 0.0], 1.0)
+CONSTANTS = INST.constants
+SCHED = Schedule(T=2, m=16, beta=0.1)
+X0 = np.zeros(2)
+
+
+def _point(result):
+    return result.point.tolist()
+
+
+def _points(inst):
+    return inst.dataset.points.tolist()
+
+
+def _solve(span):
+    x, consumed = solve_regularized_erm(INST, X0, 1.0, INST.domain, CFG, span=span)
+    return x.tolist(), consumed
+
+
+def _shrink(**sizes):
+    args = dict(c=1.0, T=2, m=16, beta=0.1, d=2, budget=PURE, growth=1.0) | sizes
+    return ShrinkFormulaParams(**args)
+
+
+# (owner, argument, call with the count, a valid count, lower bound, upper bound)
+COUNTS = [
+    ("as_point", "d", lambda v: as_point([0.5, 0.0], v).tolist(), 2, 1, None),
+    # mechanisms
+    ("RngStream", "seed", lambda v: RngStream(v).generator().random(3).tolist(), 3, 0, None),
+    ("RngStream", "stream", lambda v: RngStream(0, v).generator().random(3).tolist(), 3, 0, None),
+    ("release_noise", "d",
+     lambda v: release_noise([1.0, 2.0], v, RngStream(0), False).tolist(), 2, 0, None),
+    ("pure_noise_scale", "d", lambda v: pure_noise_scale(1.0, 1.0, v, 1.0), 2, 1, None),
+    ("AuditConfig", "trials", lambda v: AuditConfig(trials=v), 20_000, 10_000, None),
+    ("AuditConfig", "bins", lambda v: AuditConfig(bins=v), 8, 2, None),
+    ("run_audit", "n", lambda v: run_audit(n=v, trials=10_000), 50, 1, None),
+    ("run_audit", "trials", lambda v: run_audit(trials=v), 10_000, 10_000, None),
+    # problems
+    ("Schedule", "T", lambda v: Schedule(T=v, m=4, beta=0.1), 2, 1, None),
+    ("Schedule", "m", lambda v: Schedule(T=2, m=v, beta=0.1), 4, 1, None),
+    # base solvers
+    ("InnerSolveConfig", "max_iterations",
+     lambda v: InnerSolveConfig(max_iterations=v), 50, 1, None),
+    ("default_inner_epochs", "m", lambda v: default_inner_epochs(v, 2.0), 256, 1, None),
+    ("growth_step_size", "n0", lambda v: growth_step_size(2.0, 1.0, v, 0.1, 2, PURE), 64, 1, None),
+    ("growth_step_size", "d", lambda v: growth_step_size(2.0, 1.0, 64, 0.1, v, PURE), 2, 1, None),
+    ("solve_regularized_erm", "span start", lambda v: _solve((v, 40)), 3, 0, 63),
+    ("solve_regularized_erm", "span end", lambda v: _solve((0, v)), 40, 1, 64),
+    ("epoch_growth_solver", "T",
+     lambda v: _point(epoch_growth_solver(INST, X0, v, 0.1, PURE, CFG, RngStream(0))), 2, 1, None),
+    # interpolation
+    ("ShrinkFormulaParams", "T", lambda v: _shrink(T=v), 2, 1, None),
+    ("ShrinkFormulaParams", "m", lambda v: _shrink(m=v), 16, 2, None),
+    ("ShrinkFormulaParams", "d", lambda v: _shrink(d=v), 2, 1, None),
+    ("interpolation_width", "n",
+     lambda v: interpolation_width(v, CONSTANTS, 2, PURE, 0.1, 1.0), 256, 2, None),
+    ("interpolation_width", "d",
+     lambda v: interpolation_width(256, CONSTANTS, v, PURE, 0.1, 1.0), 2, 1, None),
+    ("schedule_block_size", "n",
+     lambda v: schedule_block_size(v, CONSTANTS, 2, PURE, 1.0), 256, 2, None),
+    ("schedule_block_size", "d",
+     lambda v: schedule_block_size(256, CONSTANTS, v, PURE, 1.0), 2, 1, None),
+    ("default_schedule", "n",
+     lambda v: default_schedule(v, CONSTANTS, 2, PURE, 1.0, 1e-6), 4096, 2, None),
+    ("default_schedule", "d",
+     lambda v: default_schedule(4096, CONSTANTS, v, PURE, 1.0, 1e-6), 2, 1, None),
+    ("sample_complexity", "d", lambda v: sample_complexity(0.1, 2.0, v, PURE), 3, 1, None),
+    ("interpolation_localization", "inner_epochs",
+     lambda v: _point(interpolation_localization(
+         INST, X0, SCHED, PURE, CFG, RngStream(0), inner_epochs=v)), 2, 1, None),
+    ("adaptive_solver", "inner_epochs",
+     lambda v: _point(adaptive_solver(
+         INST, X0, SCHED, PURE, CFG, RngStream(0), inner_epochs=v)), 2, 1, None),
+    # hardness
+    ("make_noiseless_least_squares", "d",
+     lambda v: _points(make_noiseless_least_squares(v, 4, [0.5, 0.0], 1.0)), 2, 1, None),
+    ("make_noiseless_least_squares", "n",
+     lambda v: _points(make_noiseless_least_squares(2, v, [0.5, 0.0], 1.0)), 4, 1, None),
+    ("make_noisy_least_squares", "d",
+     lambda v: _points(make_noisy_least_squares(v, 4, [0.5, 0.0], 1.0, 0.5, RngStream(0))),
+     2, 1, None),
+    ("make_noisy_least_squares", "n",
+     lambda v: _points(make_noisy_least_squares(2, v, [0.5, 0.0], 1.0, 0.5, RngStream(0))),
+     4, 1, None),
+    ("make_margin_classification", "d",
+     lambda v: _points(make_margin_classification(v, 4, 0.25, RngStream(0))), 2, 1, None),
+    ("make_margin_classification", "n",
+     lambda v: _points(make_margin_classification(2, v, 0.25, RngStream(0))), 4, 1, None),
+    ("LowerBoundSpec", "d",
+     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(v, 4, 2, [0.5, 0.0], 1.0))),
+     2, 1, None),
+    ("LowerBoundSpec", "n",
+     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(2, v, 2, [0.5, 0.0], 1.0))),
+     4, 1, None),
+    ("LowerBoundSpec", "k",
+     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(2, 4, v, [0.5, 0.0], 1.0))),
+     2, 1, 4),
+    ("PackingSpec", "d", lambda v: make_packing(PackingSpec(1.0, 0.25, v)).tolist(), 2, 1, 3),
+    ("SuperefficiencyParams", "r",
+     lambda v: superefficiency_construct(BASE, SuperefficiencyParams(v, 1.0)).shift, 2, 1, None),
+    ("modulus_oracle", "k", lambda v: modulus_oracle(BASE, v).values, 3, 0, 99),
+    ("stability_bound_check", "k",
+     lambda v: stability_bound_check(BASE, BASE, v, LossConstants(L=2.0, H=1.0, growth=1.0)),
+     1, 0, None),
+    ("growth_closure_check", "r", lambda v: growth_closure_check(BASE, v), 2, 0, 99),
+    # bench
+    ("ExperimentConfig", "n_grid entry", lambda v: ExperimentConfig(n_grid=(v,)), 64, 2, None),
+    ("ExperimentConfig", "seeds", lambda v: ExperimentConfig(seeds=v), 3, 1, None),
+    ("ExperimentConfig", "d", lambda v: ExperimentConfig(d=v), 3, 1, None),
+    ("ExperimentConfig", "T", lambda v: ExperimentConfig(T=v), 3, 1, None),
+    ("ExperimentConfig", "m", lambda v: ExperimentConfig(m=v), 3, 1, None),
+    ("ExperimentConfig", "inner_epochs", lambda v: ExperimentConfig(inner_epochs=v), 3, 1, None),
+    ("build_instance", "n",
+     lambda v: _points(build_instance(ExperimentConfig(), v, RngStream(0))), 8, 1, None),
+    ("run_sweep", "seed_base",
+     lambda v: run_sweep(
+         ExperimentConfig(solver="localization-erm", n_grid=(64,), seeds=1), seed_base=v
+     ), 1, 0, None),
+    ("run_oracles", "seed", run_oracles, 1, 0, None),
+]
+
+
+def _bad_counts(lo, hi):
+    bad = [True, lo - 1, -1, 2.5]
+    return bad if hi is None else bad + [hi + 1]
+
+
+@pytest.mark.parametrize(
+    "owner, argument, call, good, lo, hi", COUNTS, ids=[f"{c[0]}-{c[1]}" for c in COUNTS]
+)
+def test_every_count_is_an_integer_and_never_a_bool(owner, argument, call, good, lo, hi):
+    # before the shared rule, True passed for 1 in most of these (RngStream(True)
+    # replayed RngStream(1)), and some refused numpy integers
+    assert call(np.int64(good)) == call(good)
+    within = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    for value in _bad_counts(lo, hi):
+        message = f"{argument} must be an integer {within}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # each went on with a meaningless value before the rule was shared
+        pytest.param(lambda: make_packing(PackingSpec(D=math.inf, gamma=0.25, d=1)),
+                     "D must be a positive real, got inf", id="packing-D"),  # OverflowError
+        pytest.param(lambda: pinch_check(Quadratic1D(math.inf, 0.0), Quadratic1D(1.0, 1.0)),
+                     "coef must be a positive real, got inf", id="pinch-coef"),  # a NaN report
+        # the shrink exponent 1/(kappa - 1) fell to 0
+        pytest.param(lambda: LossConstants(L=1.0, H=1.0, growth=1.0, kappa=math.inf),
+                     "kappa must be a positive real, got inf", id="constants-kappa"),
+        # the schedule ran with no shrink and no note
+        pytest.param(lambda: Schedule(T=2, m=16, beta=0.1, constant_scale=math.inf),
+                     "constant_scale must be a positive real, got inf", id="schedule-scale"),
+        # the noise scales came out infinite
+        pytest.param(lambda: pure_noise_scale(math.inf, 1.0, 2, 1.0),
+                     "L must be a positive real, got inf", id="pure-L"),
+        pytest.param(lambda: pure_noise_scale(1.0, math.inf, 2, 1.0),
+                     "eta must be a positive real, got inf", id="pure-eta"),
+        pytest.param(lambda: approx_noise_scale(math.inf, 1.0, 1.0, 1e-6),
+                     "L must be a positive real, got inf", id="approx-L"),
+        pytest.param(lambda: approx_noise_scale(1.0, math.inf, 1.0, 1e-6),
+                     "eta must be a positive real, got inf", id="approx-eta"),
+    ],
+)
+def test_an_infinite_real_that_means_nothing_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_the_two_infinite_reals_keep_their_meaning():
+    # an infinite budget draws no noise, an infinite clip level clips nothing
+    assert pure_noise_scale(1.0, 1.0, 2, math.inf) == 0.0
+    assert approx_noise_scale(1.0, 1.0, math.inf, 1e-6) == 0.0
+    assert PrivacyBudget(math.inf).eps == math.inf
+    for bad in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^eps must be a positive real"):
+            PrivacyBudget(bad)
