@@ -328,18 +328,22 @@ def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: Privacy
     return Plan(tuple(steps), n_span - k * n0)
 
 
-def default_inner_epochs(m: int, kappa_floor: float) -> int:
-    """Epoch count for the inner growth solver on a block of m samples."""
+def default_inner_epochs(m: int) -> int:
+    """Epoch count for the inner growth solver on a block of m samples:
+    2 ln(m) / (kappa - 1) at the growth-exponent floor kappa = 2, which
+    lies in [1, m] for every m >= 2."""
     _check_count("m", m)
     if m < 2:
         return 1
-    return max(1, min(m, math.ceil(2.0 * math.log(m) / (kappa_floor - 1.0))))
+    return math.ceil(2.0 * math.log(m))
 
 
 def growth_step_size(
     r0: float, clipL: float, n0: int, beta: float, d: int, budget: PrivacyBudget
 ) -> float:
     """Initial step of the epoch growth solver (its two-branch minimum)."""
+    _check_positive("r0", r0)
+    _check_positive("clip level", clipL)
     _check_count("n0", n0)
     _check_probability("beta", beta)
     _check_count("d", d)
@@ -356,13 +360,13 @@ def growth_step_size(
 
 def growth_plan(
     lo: int, hi: int, T: int | None, beta: float, clipL: float, radius: float,
-    d: int, budget: PrivacyBudget, kappa_floor: float = 2.0,
+    d: int, budget: PrivacyBudget,
 ) -> Plan:
     """T epochs (``default_inner_epochs`` when None) on blocks of
     n0 = n // T samples of [lo, hi), in a domain of the given radius."""
     n_span = hi - lo
     if T is None:
-        T = default_inner_epochs(n_span, kappa_floor)
+        T = default_inner_epochs(n_span)
     _check_count("T", T)
     _check_positive("clip level", clipL)
     n0 = n_span // T

@@ -51,6 +51,7 @@ from .interpolation import (
 from .losses import IndicatorQuadratic, QuadraticAnchor, SmoothedHingeMargin
 from .mechanisms import AuditConfig, RngStream, empirical_epsilon
 from .problems import (
+    _CERTIFICATE_TOL,
     Instance,
     LossConstants,
     PrivacyBudget,
@@ -494,11 +495,11 @@ class AuditOutcome:
 
 
 def run_audit(
+    rng: RngStream,
     eps: float = 1.0,
     n: int = 100,
     trials: int = 100_000,
     control: bool = False,
-    rng=None,
     threshold: float | None = None,
 ) -> AuditOutcome:
     """Audit a Laplace mean release on worst-case neighbors.
@@ -508,7 +509,8 @@ def run_audit(
     half that for the deliberately broken control. A calibrated run
     passes when the estimate stays at or below the threshold (default
     eps + 0.5); a control run passes when the estimate reaches it. One
-    retry on a fresh stream is taken before declaring failure.
+    retry on the next stream of ``rng``'s seed is taken before declaring
+    failure.
 
     Outcomes are clamped to a window of 4 claimed noise scales around
     the two means before binning; without that, far-tail bins hold a
@@ -519,6 +521,8 @@ def run_audit(
     ``size=trials`` Laplace draw for the first dataset, then one for the
     second, from the stream's generator.
     """
+    if not isinstance(rng, RngStream):
+        raise ValueError(f"need an RngStream, got {type(rng).__name__}")
     _check_count("n", n)
     _check_positive("eps", eps)
     if threshold is not None and not math.isfinite(threshold):
@@ -527,8 +531,6 @@ def run_audit(
         threshold = eps + 0.5
     claimed = 1.0 / (n * eps)
     scale = claimed / 2.0 if control else claimed
-    if rng is None:
-        rng = RngStream(0)
     data_a = np.zeros(n)
     data_b = data_a.copy()
     data_b[0] = 1.0
@@ -546,7 +548,7 @@ def run_audit(
     eps_hat = estimate(rng)
     ok = eps_hat >= threshold if control else eps_hat <= threshold
     retried = False
-    if not ok and isinstance(rng, RngStream):
+    if not ok:
         retried = True
         eps_hat = estimate(RngStream(rng.seed, rng.stream + 1))
         ok = eps_hat >= threshold if control else eps_hat <= threshold
@@ -622,7 +624,6 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
         len(packing) >= 1.0 / (2 * 0.25), "grid packing count >= D/(2 gamma)")
 
     # interpolation certificates for every interpolating generator
-    cert_tol = 1e-10
     gens = {
         "noiseless-least-squares": make_noiseless_least_squares(
             2, 64, np.array([0.5, 0.0]), 1.0
@@ -636,6 +637,6 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
     }
     for name, inst in gens.items():
         cert = interpolation_certificate(inst)
-        add(f"certificate-{name}", cert, cert_tol, cert <= cert_tol,
+        add(f"certificate-{name}", cert, _CERTIFICATE_TOL, cert <= _CERTIFICATE_TOL,
             "max per-sample gradient norm at the optimum")
     return lines

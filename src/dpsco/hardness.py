@@ -128,7 +128,7 @@ def make_noiseless_least_squares(
         family=QuadraticAnchor(H),
         dataset=Dataset(points),
         domain=domain,
-        constants=LossConstants(L=L, H=H, growth=H, kappa=2.0, kappa_floor=2.0),
+        constants=LossConstants(L=L, H=H, growth=H, kappa=2.0),
         optimum=Optimum(xstar),
     )
     assert interpolation_certificate(inst) == 0.0
@@ -160,7 +160,7 @@ def make_noisy_least_squares(
         family=QuadraticAnchor(H),
         dataset=Dataset(points),
         domain=domain,
-        constants=LossConstants(L=L, H=H, growth=H, kappa=2.0, kappa_floor=2.0),
+        constants=LossConstants(L=L, H=H, growth=H, kappa=2.0),
         optimum=Optimum(mean),
     )
 
@@ -205,14 +205,14 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
         family=family,
         dataset=Dataset(np.concatenate(rows), np.concatenate(labels)),
         domain=Ball(np.zeros(d), 2.0 * float(np.linalg.norm(witness))),
-        constants=LossConstants(L=1.0, H=H, growth=0.0, kappa=2.0, kappa_floor=2.0),
+        constants=LossConstants(L=1.0, H=H, growth=0.0, kappa=2.0),
         optimum=Optimum(witness),
     )
     assert interpolation_certificate(inst) == 0.0
     return inst
 
 
-def make_lower_bound_instance(spec: LowerBoundSpec, radius: float | None = None) -> Instance:
+def make_lower_bound_instance(spec: LowerBoundSpec) -> Instance:
     """n - k off samples followed by k samples anchored at v.
 
     Population risk is (k H / 2n) ||x - v||^2: interpolating, with
@@ -220,7 +220,7 @@ def make_lower_bound_instance(spec: LowerBoundSpec, radius: float | None = None)
     """
     points = np.zeros((spec.n, spec.d))
     points[spec.n - spec.k :] = spec.v
-    R = float(radius) if radius is not None else max(1.0, 2.0 * float(np.linalg.norm(spec.v)))
+    R = max(1.0, 2.0 * float(np.linalg.norm(spec.v)))
     domain = Ball(np.zeros(spec.d), R)
     if not domain.contains(spec.v):
         raise ValueError("v must lie inside the domain ball")
@@ -229,9 +229,7 @@ def make_lower_bound_instance(spec: LowerBoundSpec, radius: float | None = None)
         family=IndicatorQuadratic(spec.H),
         dataset=Dataset(points),
         domain=domain,
-        constants=LossConstants(
-            L=L, H=spec.H, growth=spec.k * spec.H / spec.n, kappa=2.0, kappa_floor=2.0
-        ),
+        constants=LossConstants(L=L, H=spec.H, growth=spec.k * spec.H / spec.n, kappa=2.0),
         optimum=Optimum(spec.v),
     )
     assert interpolation_certificate(inst) == 0.0
@@ -305,6 +303,7 @@ class Quadratic1D:
 
     def __post_init__(self):
         _check_positive("coef", self.coef)
+        as_point(self.minimizer, 1)  # finite, or ValueError
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def superefficiency_construct(
     """
     lam, H = base.constants.growth, base.constants.H
     _check_positive("growth", lam)
-    if not is_interpolating(base, tol=1e-10):
+    if not is_interpolating(base):
         raise ValueError("base instance must interpolate (zero gradients at the optimum)")
     if params.r >= base.n:
         raise ValueError(f"must keep at least one sample: r = {params.r}, n = {base.n}")
@@ -364,10 +363,7 @@ def superefficiency_construct(
         family=base.family,
         dataset=Dataset(points),
         domain=base.domain,
-        constants=LossConstants(
-            L=L_new, H=H, growth=growth_new,
-            kappa=base.constants.kappa, kappa_floor=base.constants.kappa_floor,
-        ),
+        constants=LossConstants(L=L_new, H=H, growth=growth_new, kappa=base.constants.kappa),
         optimum=Optimum(np.array([min_new])),
     )
     shift = min_new - base_min

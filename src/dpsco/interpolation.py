@@ -144,10 +144,7 @@ def localize_plan(
     steps, note = [], ""
     for i in range(1, T + 1):
         block = (lo + (i - 1) * m, lo + i * m)
-        sub = growth_plan(
-            *block, inner_epochs, schedule.beta / T, L, radius, inst.d, budget,
-            inst.constants.kappa_floor,
-        )
+        sub = growth_plan(*block, inner_epochs, schedule.beta / T, L, radius, inst.d, budget)
         steps.append(_nested(block, None if i == 1 else radius, D, L, sub))
         if i == T:
             break
@@ -236,8 +233,7 @@ def adaptive_solver(
         _check_count("inner_epochs", inner_epochs)
     half, L, beta = inst.n // 2, inst.constants.L, schedule.beta
     phase1 = growth_plan(
-        0, half, inner_epochs, beta / 2.0, L, inst.domain.radius, inst.d, budget,
-        inst.constants.kappa_floor,
+        0, half, inner_epochs, beta / 2.0, L, inst.domain.radius, inst.d, budget
     )
     d_int = interpolation_width(
         inst.n, inst.constants, inst.d, budget, beta, schedule.constant_scale

@@ -16,9 +16,10 @@ Families:
   Huber function of the distance to the anchor.
 * ``IndicatorQuadratic(H)``: same, except the all-zero payload switches
   the sample off (loss identically 0).
-* ``SmoothedHingeMargin(margin, tau)``: f(x; (a, y)) = psi(margin -
+* ``SmoothedHingeMargin(margin)``: f(x; (a, y)) = psi(margin -
   y <a, x>) with psi(u) = 0 for u <= 0, u^2/(2 tau) on (0, tau], and
-  u - tau/2 beyond. Margin-satisfied points pay nothing.
+  u - tau/2 beyond, where tau = margin / 2. Margin-satisfied points pay
+  nothing.
 
 Each family's math lives on its class: ``tag`` (its sweep id),
 ``labeled``, batch ``values`` / ``gradients`` over an (n, d) payload
@@ -42,7 +43,7 @@ identical to unclipped runs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -142,13 +143,14 @@ class IndicatorQuadratic(QuadraticAnchor):
 class SmoothedHingeMargin:
     """Margin loss with a quadratically smoothed hinge corner.
 
-    tau defaults to margin / 2; the smoothed corner keeps per-sample
+    The corner is smoothed over tau = margin / 2, which keeps per-sample
     smoothness ||a||^2 / tau finite. No row is an anchor, so the family
     has no closed-form minimizer and ``anchors`` is None.
     """
 
     margin: float
-    tau: float | None = None
+    # a stored field, not a property: the gradient path reads it per call
+    tau: float = field(init=False)
 
     tag: ClassVar[str] = "smoothed-hinge-margin"
     labeled: ClassVar[bool] = True
@@ -156,9 +158,8 @@ class SmoothedHingeMargin:
 
     def __post_init__(self):
         _check_positive("margin", self.margin)
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.margin / 2.0)
-        _check_positive("tau", self.tau)
+        object.__setattr__(self, "tau", self.margin / 2.0)
+        _check_positive("tau", self.tau)  # margin / 2 underflows at the tiniest margins
 
     def values(self, x: Vector, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         u = self.margin - labels * (points @ x)

@@ -14,8 +14,8 @@ whose minimizer is being released.
 
 ``empirical_epsilon`` lower-bounds the realized privacy loss of a scalar
 mechanism by comparing outcome histograms on two neighboring datasets:
-64 equal-width bins over an 8-sigma clamp window, add-one smoothing, and
-the maximum absolute log ratio across bins. The mechanism is batched:
+64 equal-width bins over the caller's clamp window, add-one smoothing,
+and the maximum absolute log ratio across bins. The mechanism is batched:
 ``mechanism(data, generator, size) -> ndarray`` returns ``size``
 independent releases at once, and the audit calls it twice per estimate,
 first for every trial on the first dataset, then for every trial on the
@@ -105,19 +105,23 @@ def approx_noise_scale(L: float, eta: float, eps: float, delta: float) -> float:
     return 4.0 * L * eta * math.sqrt(math.log(1.0 / delta)) / eps
 
 
+# histogram bins of every audit estimate
+_AUDIT_BINS = 64
+
+
 @dataclass(frozen=True)
 class AuditConfig:
-    """Histogram-audit knobs; trials below 10^4 give estimates too noisy
-    to act on, so smaller values are rejected outright."""
+    """Histogram-audit knobs: the (lo, hi) window outcomes are clamped to
+    before binning, and the trials per dataset; trials below 10^4 give
+    estimates too noisy to act on, so smaller values are rejected
+    outright."""
 
+    clamp: tuple[float, float]
     trials: int = 10_000
-    bins: int = 64
-    clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
         _check_count("trials", self.trials, lo=10_000)
-        _check_count("bins", self.bins, lo=2)
-        if self.clamp is not None and not self.clamp[0] < self.clamp[1]:
+        if not self.clamp[0] < self.clamp[1]:
             raise ValueError(f"clamp range must be increasing, got {self.clamp}")
 
 
@@ -147,27 +151,21 @@ def empirical_epsilon(mechanism, data_a, data_b, cfg: AuditConfig, rng) -> float
     It is called once per dataset with ``size=cfg.trials``: first on
     ``data_a``, then on ``data_b``, both from the one generator built
     from ``rng``. Raises ValueError when a release batch has any other
-    shape, and InconclusiveAuditError when the outcomes concentrate in
-    fewer than two bins (no ratio to measure).
+    shape, and InconclusiveAuditError when the clamped outcomes
+    concentrate in fewer than two bins (no ratio to measure).
     """
     _check_neighbors(data_a, data_b)
     gen = as_generator(rng)
     out_a = _release_batch(mechanism, data_a, gen, cfg.trials)
     out_b = _release_batch(mechanism, data_b, gen, cfg.trials)
-    if cfg.clamp is not None:
-        lo, hi = cfg.clamp
-    else:
-        mid, spread = float(out_a.mean()), float(out_a.std())
-        if spread == 0.0:
-            raise InconclusiveAuditError("outcomes on the first dataset are constant")
-        lo, hi = mid - 8.0 * spread, mid + 8.0 * spread
-    edges = np.linspace(lo, hi, cfg.bins + 1)
+    lo, hi = cfg.clamp
+    edges = np.linspace(lo, hi, _AUDIT_BINS + 1)
     counts_a, _ = np.histogram(np.clip(out_a, lo, hi), bins=edges)
     counts_b, _ = np.histogram(np.clip(out_b, lo, hi), bins=edges)
     occupied = int(((counts_a + counts_b) > 0).sum())
     if occupied < 2:
         raise InconclusiveAuditError(f"outcomes landed in {occupied} bin(s); widen the clamp")
     # add-one smoothing keeps empty bins from producing infinite ratios
-    p_a = (counts_a + 1.0) / (cfg.trials + cfg.bins)
-    p_b = (counts_b + 1.0) / (cfg.trials + cfg.bins)
+    p_a = (counts_a + 1.0) / (cfg.trials + _AUDIT_BINS)
+    p_b = (counts_b + 1.0) / (cfg.trials + _AUDIT_BINS)
     return float(np.abs(np.log(p_a / p_b)).max())

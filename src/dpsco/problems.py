@@ -48,27 +48,23 @@ class LossConstants:
 
     L: global Lipschitz bound on the domain. H: smoothness. growth:
     quadratic-growth coefficient lambda (0 when no growth is promised).
-    kappa: growth exponent, at least kappa_floor > 1.
+    kappa: growth exponent, at least 2, the floor the shrink rules and
+    ``default_inner_epochs`` assume.
     """
 
     L: float
     H: float
     growth: float = 0.0
     kappa: float = 2.0
-    kappa_floor: float = 2.0
 
     def __post_init__(self):
         _check_positive("L", self.L)
         _check_positive("H", self.H)
         if not (self.growth >= 0 and math.isfinite(self.growth)):
             raise ValueError(f"growth must be nonnegative, got {self.growth}")
-        _check_positive("kappa", self.kappa)  # so kappa_floor <= kappa is finite too
-        if not self.kappa_floor > 1:
-            raise ValueError(f"kappa_floor must exceed 1, got {self.kappa_floor}")
-        if not self.kappa >= self.kappa_floor:
-            raise ValueError(
-                f"kappa must be at least kappa_floor, got {self.kappa} < {self.kappa_floor}"
-            )
+        _check_positive("kappa", self.kappa)
+        if not self.kappa >= 2:
+            raise ValueError(f"kappa must be at least 2, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,12 @@ def interpolation_certificate(inst: Instance) -> float:
     return float(np.linalg.norm(grads, axis=1).max())
 
 
-def is_interpolating(inst: Instance, tol: float = 1e-9) -> bool:
-    return inst.optimum is not None and interpolation_certificate(inst) <= tol
+# the largest certificate that still counts as interpolation
+_CERTIFICATE_TOL = 1e-10
+
+
+def is_interpolating(inst: Instance) -> bool:
+    return inst.optimum is not None and interpolation_certificate(inst) <= _CERTIFICATE_TOL
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def test_criterion_03_extension_oracle_equivalence():
     fams = {
         "quad": QuadraticAnchor(H=1.0),
         "indicator": IndicatorQuadratic(H=1.0),
-        "hinge": SmoothedHingeMargin(margin=1.0, tau=0.5),
+        "hinge": SmoothedHingeMargin(margin=1.0),
     }
     max_val = max_grad = 0.0
     checked = skipped = 0

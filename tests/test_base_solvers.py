@@ -316,6 +316,9 @@ def test_growth_step_size_formula_both_branches():
     assert apx == expect_apx
     with pytest.raises(ValueError):
         growth_step_size(r0, clipL, n0, 1.0, d, PURE)
+    # a zero clip level divided by zero
+    with pytest.raises(ValueError, match="^clip level must be a positive real, got 0.0$"):
+        growth_step_size(r0, 0.0, n0, beta, d, PURE)
 
 
 def test_epoch_growth_halves_radius_and_step_per_epoch():

@@ -259,6 +259,11 @@ def test_audit_retries_once_then_reports_failure():
     assert outcome.epsilon_hat == 1.1275998255413622  # fresh stream, still above
 
 
+def test_audit_needs_a_stream_to_retry_on():
+    with pytest.raises(ValueError, match="^need an RngStream, got Generator$"):
+        run_audit(rng=np.random.default_rng(0))
+
+
 # epsilon_hat bits of the perfbench audit workload's two ops at round seeds
 # 0..9: calibrated on stream 0, control on stream 2; every op passes first time
 AUDIT_PINS = [

@@ -26,7 +26,7 @@ from dpsco.losses import _row_norms
 
 QA = QuadraticAnchor(H=1.0)
 IQ = IndicatorQuadratic(H=1.0)
-HINGE = SmoothedHingeMargin(margin=1.0, tau=0.5)
+HINGE = SmoothedHingeMargin(margin=1.0)
 
 
 def _families():
@@ -56,10 +56,6 @@ def test_family_parameter_validation():
         IndicatorQuadratic(H=-1.0)
     with pytest.raises(ValueError):
         SmoothedHingeMargin(margin=0.0)
-    with pytest.raises(ValueError):
-        SmoothedHingeMargin(margin=1.0, tau=0.0)
-    with pytest.raises(ValueError):
-        SmoothedHingeMargin(margin=1.0, tau=-1.0)
 
 
 def test_hinge_tau_defaults_to_half_margin():

@@ -54,8 +54,7 @@ def test_privacy_budget_validation():
 
 
 def test_loss_constants_validation():
-    c = LossConstants(L=1.0, H=2.0, growth=0.5, kappa=3.0)
-    assert c.kappa_floor == 2.0
+    LossConstants(L=1.0, H=2.0, growth=0.5, kappa=3.0)
     with pytest.raises(ValueError):
         LossConstants(L=0.0, H=1.0)
     with pytest.raises(ValueError):
@@ -63,9 +62,7 @@ def test_loss_constants_validation():
     with pytest.raises(ValueError):
         LossConstants(L=1.0, H=1.0, growth=-1.0)
     with pytest.raises(ValueError):
-        LossConstants(L=1.0, H=1.0, kappa=1.5)  # below the floor
-    with pytest.raises(ValueError):
-        LossConstants(L=1.0, H=1.0, kappa_floor=1.0)
+        LossConstants(L=1.0, H=1.0, kappa=1.5)  # below the floor of 2
 
 
 def test_dataset_validation_and_immutability():

@@ -92,17 +92,17 @@ COUNTS = [
     ("release_noise", "d",
      lambda v: release_noise([1.0, 2.0], v, RngStream(0), False).tolist(), 2, 0, None),
     ("pure_noise_scale", "d", lambda v: pure_noise_scale(1.0, 1.0, v, 1.0), 2, 1, None),
-    ("AuditConfig", "trials", lambda v: AuditConfig(trials=v), 20_000, 10_000, None),
-    ("AuditConfig", "bins", lambda v: AuditConfig(bins=v), 8, 2, None),
-    ("run_audit", "n", lambda v: run_audit(n=v, trials=10_000), 50, 1, None),
-    ("run_audit", "trials", lambda v: run_audit(trials=v), 10_000, 10_000, None),
+    ("AuditConfig", "trials",
+     lambda v: AuditConfig(clamp=(0.0, 1.0), trials=v), 20_000, 10_000, None),
+    ("run_audit", "n", lambda v: run_audit(RngStream(0), n=v, trials=10_000), 50, 1, None),
+    ("run_audit", "trials", lambda v: run_audit(RngStream(0), trials=v), 10_000, 10_000, None),
     # problems
     ("Schedule", "T", lambda v: Schedule(T=v, m=4, beta=0.1), 2, 1, None),
     ("Schedule", "m", lambda v: Schedule(T=2, m=v, beta=0.1), 4, 1, None),
     # base solvers
     ("InnerSolveConfig", "max_iterations",
      lambda v: InnerSolveConfig(max_iterations=v), 50, 1, None),
-    ("default_inner_epochs", "m", lambda v: default_inner_epochs(v, 2.0), 256, 1, None),
+    ("default_inner_epochs", "m", lambda v: default_inner_epochs(v), 256, 1, None),
     ("growth_step_size", "n0", lambda v: growth_step_size(2.0, 1.0, v, 0.1, 2, PURE), 64, 1, None),
     ("growth_step_size", "d", lambda v: growth_step_size(2.0, 1.0, 64, 0.1, v, PURE), 2, 1, None),
     ("solve_regularized_erm", "span start", lambda v: _solve((v, 40)), 3, 0, 63),
@@ -208,6 +208,13 @@ def test_every_count_is_an_integer_and_never_a_bool(owner, argument, call, good,
                      "D must be a positive real, got inf", id="packing-D"),  # OverflowError
         pytest.param(lambda: pinch_check(Quadratic1D(math.inf, 0.0), Quadratic1D(1.0, 1.0)),
                      "coef must be a positive real, got inf", id="pinch-coef"),  # a NaN report
+        pytest.param(lambda: pinch_check(Quadratic1D(1.0, math.inf), Quadratic1D(1.0, 0.0)),
+                     "point has non-finite coordinates", id="pinch-minimizer"),  # a NaN report
+        # the step came out infinite, or zero
+        pytest.param(lambda: growth_step_size(math.inf, 1.0, 64, 0.1, 2, PURE),
+                     "r0 must be a positive real, got inf", id="growth-step-r0"),
+        pytest.param(lambda: growth_step_size(2.0, math.inf, 64, 0.1, 2, PURE),
+                     "clip level must be a positive real, got inf", id="growth-step-clip"),
         # the shrink exponent 1/(kappa - 1) fell to 0
         pytest.param(lambda: LossConstants(L=1.0, H=1.0, growth=1.0, kappa=math.inf),
                      "kappa must be a positive real, got inf", id="constants-kappa"),
