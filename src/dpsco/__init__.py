@@ -62,7 +62,6 @@ from .hardness import (
 )
 from .interpolation import (
     ScheduleInfeasibleError,
-    ShrinkFormulaParams,
     adaptive_solver,
     default_schedule,
     interpolation_localization,
@@ -90,10 +89,9 @@ from .mechanisms import (
     AuditConfig,
     InconclusiveAuditError,
     RngStream,
-    approx_noise_scale,
     as_generator,
     empirical_epsilon,
-    pure_noise_scale,
+    noise_scale,
     release_noise,
 )
 from .problems import (

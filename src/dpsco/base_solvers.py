@@ -17,7 +17,7 @@ back onto it, and writes its ``EpochRecord``. Innermost first:
   disjoint slices. Release i shrinks the step to eta_i = 2^{-4i} eta,
   solves the regularized ERM in a ball of radius 2 L eta_i n0 around the
   previous iterate, and adds per-coordinate noise of scale
-  4 L eta_i sqrt(d)/eps (Laplace for pure DP) or
+  ``noise_scale``: 4 L eta_i sqrt(d)/eps (Laplace for pure DP) or
   4 L eta_i sqrt(ln(1/delta))/eps (Gaussian otherwise).
 * ``growth_plan`` (``epoch_growth_solver``): T epochs on disjoint blocks
   of n0 = n/T samples; epoch i runs an ``erm_plan`` inside a ball of
@@ -70,7 +70,7 @@ from .geometry import (
     Ball, Vector, _check_count, _check_positive, _check_probability, _project, as_point,
 )
 from .losses import _row_norms, clip_gradients
-from .mechanisms import approx_noise_scale, pure_noise_scale, release_noise
+from .mechanisms import noise_scale, release_noise
 from .problems import EpochRecord, Instance, PrivacyBudget, RunTrace
 
 
@@ -319,12 +319,10 @@ def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: Privacy
                 f"release {span}: step {eta_i!r} overflows the proximal coefficient "
                 "2/(eta n0); the step or the schedule's constant_scale is too small"
             )
-        if budget.delta > 0:
-            sigma = approx_noise_scale(clipL, eta_i, budget.eps, budget.delta)
-        else:
-            sigma = pure_noise_scale(clipL, eta_i, d, budget.eps)
         radius = 2.0 * clipL * eta_i * n0
-        steps.append(Step(span, radius, 2.0 * radius, clipL, sigma, eta_i))
+        steps.append(
+            Step(span, radius, 2.0 * radius, clipL, noise_scale(clipL, eta_i, d, budget), eta_i)
+        )
     return Plan(tuple(steps), n_span - k * n0)
 
 
@@ -428,7 +426,7 @@ def _execute(inst, plan, x, center, radius, cfg, noise):
 def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:
     """Execute a top-level plan from a validated x inside the instance's
     domain, with every release's noise drawn up front in one batch."""
-    noise = release_noise(_leaf_sigmas(plan), inst.d, rng, gaussian=budget.delta > 0)
+    noise = release_noise(_leaf_sigmas(plan), inst.d, rng, budget)
     point, trace = _execute(
         inst, plan, x, inst.domain.center, inst.domain.radius, cfg, iter(noise)
     )

@@ -150,30 +150,26 @@ class ExperimentConfig:
                 _check_positive(name, getattr(self, name))
         if self.family == IndicatorQuadratic.tag and self.xstar_offset == 0:
             raise ValueError(f"{IndicatorQuadratic.tag} needs a nonzero xstar_offset")
-        if self.radius is not None and self.family != QuadraticAnchor.tag:
-            raise ValueError(f"radius is only supported for the {QuadraticAnchor.tag} family")
-        if self.noise_std > 0 and self.family != QuadraticAnchor.tag:
-            raise ValueError(f"noise_std is only supported for the {QuadraticAnchor.tag} family")
-        if self.eta is not None and self.solver != "localization-erm":
-            raise ValueError("eta is only supported for the localization-erm solver")
-        if self.inner_epochs is not None and self.solver not in _LOCALIZING:
-            raise ValueError(
-                f"inner_epochs is only supported for the {', '.join(_LOCALIZING)} solvers"
-            )
-        # keys with a default the run never reads: only the default is accepted
+        # keys the run never reads: only the default is accepted
         hinge = self.family == SmoothedHingeMargin.tag
+        plain = self.solver == "localization-erm"
+        anchor = f"the {QuadraticAnchor.tag} family"
+        localizing = f"the {', '.join(_LOCALIZING)} solvers"
+        scheduled = f"the {', '.join(_LOCALIZING)}, epoch-growth solvers"
         for name, unread, reader in (
+            ("radius", self.family != QuadraticAnchor.tag, anchor),
+            ("noise_std", self.family != QuadraticAnchor.tag, anchor),
+            ("eta", not plain, "the localization-erm solver"),
+            ("inner_epochs", self.solver not in _LOCALIZING, localizing),
             ("margin", not hinge, f"the {SmoothedHingeMargin.tag} family"),
             ("H", hinge, "the quadratic families"),
             ("xstar_offset", hinge, "the quadratic families"),
-            ("constant_scale", self.solver not in _LOCALIZING,
-             f"the {', '.join(_LOCALIZING)} solvers"),
+            ("constant_scale", self.solver not in _LOCALIZING, localizing),
+            ("T", plain, scheduled),
+            ("m", plain, scheduled),
         ):
             if unread and getattr(self, name) != getattr(ExperimentConfig, name):
                 raise ValueError(f"{name} is only supported for {reader}")
-        for name in ("T", "m"):
-            if getattr(self, name) is not None and self.solver == "localization-erm":
-                raise ValueError(f"{name} is not supported for the localization-erm solver")
 
 
 def _parse_bool(text: str) -> bool:

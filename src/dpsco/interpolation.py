@@ -12,12 +12,15 @@ For quadratic growth (kappa = 2) the shrink is
     c * (L_i / lambda) * max{ sqrt(ln(T/beta)) ln^{3/2}(m) / sqrt(m),
                               md * ln(T/beta) ln(m) / (m eps) }
 
-with md = min(d, sqrt(d ln(1/delta))) (just d when delta = 0) and
-c = 256 * constant_scale. For kappa > 2 the same bracket is raised to
-the power 1/(kappa - 1) and c = 4 * 2^{12/kappa} * constant_scale, with
+with md = min(d, sqrt(d ln(1/delta))) (just d when delta = 0). For
+kappa > 2 the same bracket is raised to the power 1/(kappa - 1), with
 md = d for delta = 0 and sqrt(d ln(1/delta)) otherwise (no min).
+``shrink_diameter`` owns the whole rule, including its leading constant
+c, which it takes from the schedule's constant_scale: 256 * scale at
+kappa = 2 and 4 * 2^{12/kappa} * scale beyond.
 ``interpolation_localization`` takes kappa from the instance's declared
-constants. None of this reads the data, so the whole run is planned
+constants. ``localize_plan`` sees d, the declared constants, the
+schedule and the budget, never the samples, so the whole run is planned
 before it starts.
 
 ``default_schedule`` picks (T, m) for a dataset by the block-size rule
@@ -45,11 +48,11 @@ rule whatever kappa the instance declares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .base_solvers import InnerSolveConfig, Plan, SolverResult, _nested, _run, growth_plan
 from .geometry import _check_count, _check_positive, _check_probability, as_point
-from .problems import Instance, PrivacyBudget, Schedule
+from .problems import Instance, LossConstants, PrivacyBudget, Schedule
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -66,53 +69,39 @@ class ScheduleInfeasibleError(ValueError):
         self.feasible_scale = feasible_scale
 
 
-@dataclass(frozen=True)
-class ShrinkFormulaParams:
-    """Everything the shrink rule needs besides the current clip level.
-
-    ``c`` is the leading constant with constant_scale already folded in
-    (256 * scale for quadratic growth, 4 * 2^{12/kappa} * scale beyond).
-    """
-
-    c: float
-    T: int
-    m: int
-    beta: float
-    d: int
-    budget: PrivacyBudget
-    growth: float
-    kappa: float = 2.0
-
-    def __post_init__(self):
-        _check_positive("c", self.c)
-        _check_count("T", self.T)
-        _check_count("m", self.m, lo=2)
-        _check_probability("beta", self.beta)
-        _check_count("d", self.d)
-        _check_positive("growth", self.growth)
-        if not self.kappa >= 2:
-            raise ValueError(f"growth exponent must be at least 2, got {self.kappa}")
-
-
-def shrink_diameter(L_i: float, p: ShrinkFormulaParams) -> float:
-    """Next ball diameter from the current clip level."""
+def shrink_diameter(
+    L_i: float, schedule: Schedule, d: int, budget: PrivacyBudget, growth: float, kappa: float
+) -> float:
+    """Next ball diameter from the current clip level, by the kappa rule
+    at the schedule's T, m, beta and constant_scale (module docstring)."""
     _check_positive("clip level", L_i)
-    log_fail = math.log(p.T / p.beta)
-    log_m = math.log(p.m)
-    stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(p.m)
-    eps, delta = p.budget.eps, p.budget.delta
-    if p.kappa == 2.0:
-        md = min(p.d, math.sqrt(p.d * math.log(1.0 / delta))) if delta > 0 else p.d
-        priv = md * log_fail * log_m / (p.m * eps)
-        return p.c * (L_i / p.growth) * max(stat, priv)
-    md = math.sqrt(p.d * math.log(1.0 / delta)) if delta > 0 else p.d
-    priv = md * log_fail * log_m / (p.m * eps)
-    bracket = (L_i / p.growth) * max(stat, priv)
-    return p.c * bracket ** (1.0 / (p.kappa - 1.0))
+    T, m, beta, scale = schedule.T, schedule.m, schedule.beta, schedule.constant_scale
+    _check_count("m", m, lo=2)
+    _check_count("d", d)
+    _check_positive("growth", growth)
+    if not kappa >= 2:
+        raise ValueError(f"growth exponent must be at least 2, got {kappa}")
+    delta = budget.delta
+    if kappa == 2.0:
+        c = 256.0 * scale
+        md = min(d, math.sqrt(d * math.log(1.0 / delta))) if delta > 0 else d
+    else:
+        c = 4.0 * 2.0 ** (12.0 / kappa) * scale
+        md = math.sqrt(d * math.log(1.0 / delta)) if delta > 0 else d
+    _check_positive("c", c)
+    log_fail = math.log(T / beta)
+    log_m = math.log(m)
+    stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(m)
+    priv = md * log_fail * log_m / (m * budget.eps)
+    if kappa == 2.0:
+        return c * (L_i / growth) * max(stat, priv)
+    bracket = (L_i / growth) * max(stat, priv)
+    return c * bracket ** (1.0 / (kappa - 1.0))
 
 
 def localize_plan(
-    inst: Instance,
+    d: int,
+    constants: LossConstants,
     schedule: Schedule,
     budget: PrivacyBudget,
     kappa: float,
@@ -125,35 +114,28 @@ def localize_plan(
     current ball: first the enclosing domain of the given radius, then a
     ball shrunk by the kappa rule around the previous epoch's output. A
     shrink that is zero or not finite ends the plan early (noted)."""
-    lam = inst.constants.growth
+    lam = constants.growth
     _check_positive("growth", lam)
     lo, hi = span
     T, m = schedule.T, schedule.m
     if T * m > hi - lo:
         raise ValueError(f"schedule needs T*m = {T * m} samples, span has {hi - lo}")
-    if kappa == 2.0:
-        c = 256.0 * schedule.constant_scale
-    else:
-        c = 4.0 * 2.0 ** (12.0 / kappa) * schedule.constant_scale
-    params = ShrinkFormulaParams(
-        c=c, T=T, m=m, beta=schedule.beta, d=inst.d, budget=budget,
-        growth=lam, kappa=kappa,
-    )
+    _check_count("m", m, lo=2)
     D = 2.0 * radius
-    L = inst.constants.L
+    L = constants.L
     steps, note = [], ""
     for i in range(1, T + 1):
         block = (lo + (i - 1) * m, lo + i * m)
-        sub = growth_plan(*block, inner_epochs, schedule.beta / T, L, radius, inst.d, budget)
+        sub = growth_plan(*block, inner_epochs, schedule.beta / T, L, radius, d, budget)
         steps.append(_nested(block, None if i == 1 else radius, D, L, sub))
         if i == T:
             break
-        D_next = min(shrink_diameter(L, params), D)
+        D_next = min(shrink_diameter(L, schedule, d, budget, lam, kappa), D)
         if not (D_next > 0.0 and math.isfinite(D_next)):
             note = f"early-exit: shrink produced diameter {D_next!r} at epoch {i}"
             break
         D = D_next
-        L = min(inst.constants.H * D, L)
+        L = min(constants.H * D, L)
         radius = D / 2.0
     return Plan(tuple(steps), hi - lo - T * m, note)
 
@@ -181,8 +163,8 @@ def interpolation_localization(
     if inner_epochs is not None:
         _check_count("inner_epochs", inner_epochs)
     plan = localize_plan(
-        inst, schedule, budget, inst.constants.kappa, (0, inst.n), inst.domain.radius,
-        inner_epochs,
+        inst.d, inst.constants, schedule, budget, inst.constants.kappa, (0, inst.n),
+        inst.domain.radius, inner_epochs,
     )
     return _run(inst, plan, x, budget, cfg, rng)
 
@@ -243,8 +225,8 @@ def adaptive_solver(
     # at the domain diameter contains that intersection
     trust = min(d_int / 2.0, inst.domain.diameter)
     phase2 = localize_plan(
-        inst, replace(schedule, beta=beta / 2.0), budget, 2.0, (half, inst.n), trust,
-        inner_epochs,
+        inst.d, inst.constants, replace(schedule, beta=beta / 2.0), budget, 2.0,
+        (half, inst.n), trust, inner_epochs,
     )
     steps = (_nested((0, half), None, None, L, phase1),
              _nested((half, inst.n), trust, None, L, phase2))

@@ -2,12 +2,12 @@
 
 All randomness flows through named :class:`RngStream` objects (seed plus
 stream id, PCG64 underneath) so any run can be replayed bit for bit.
-``release_noise`` draws the noise of many releases at once. Noise-scale
-formulas are tiny but load-bearing: output perturbation adds
-per-coordinate Laplace noise of scale
+``release_noise`` draws the noise of many releases at once. A budget
+selects its mechanism here and nowhere else: output perturbation adds
+per-coordinate noise of scale ``noise_scale``,
 
-    sigma = 4 L eta sqrt(d) / eps          (pure DP)
-    sigma = 4 L eta sqrt(ln(1/delta)) / eps  (approximate DP, Gaussian)
+    sigma = 4 L eta sqrt(d) / eps            (delta = 0: Laplace)
+    sigma = 4 L eta sqrt(ln(1/delta)) / eps  (delta > 0: Gaussian)
 
 where L is the clip level and eta the regularization step of the phase
 whose minimizer is being released.
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _check_count, _check_positive, _check_probability
+from .geometry import _check_count, _check_positive
+from .problems import PrivacyBudget
 
 
 class InconclusiveAuditError(RuntimeError):
@@ -61,10 +62,10 @@ def as_generator(rng) -> np.random.Generator:
     raise ValueError(f"need an RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def release_noise(sigmas, d: int, rng, gaussian: bool) -> np.ndarray:
+def release_noise(sigmas, d: int, rng, budget: PrivacyBudget) -> np.ndarray:
     """Noise for P releases in one draw: row i holds d i.i.d. coordinates
-    of scale ``sigmas[i]``, Gaussian N(0, sigma^2) when ``gaussian`` and
-    Laplace(0, sigma) (std sigma * sqrt(2)) otherwise.
+    of scale ``sigmas[i]``, Gaussian N(0, sigma^2) when the budget's
+    delta > 0 and Laplace(0, sigma) (std sigma * sqrt(2)) otherwise.
 
     The draw is ``(P, d)`` unit-scale variates times ``sigmas[:, None]``,
     which on numpy's Generator equals P successive ``laplace(0, sigma_i,
@@ -78,31 +79,20 @@ def release_noise(sigmas, d: int, rng, gaussian: bool) -> np.ndarray:
         raise ValueError(f"noise scales must be positive, got {sigmas}")
     _check_count("d", d, lo=0)
     gen = as_generator(rng)
-    draw = gen.normal if gaussian else gen.laplace
+    draw = gen.normal if budget.delta > 0 else gen.laplace
     return draw(0.0, 1.0, size=(sigmas.shape[0], d)) * sigmas[:, None]
 
 
-def pure_noise_scale(L: float, eta: float, d: int, eps: float) -> float:
-    """Laplace scale 4 L eta sqrt(d) / eps for pure-DP output perturbation.
-
-    eps is a budget's, so it may be infinite (no privacy): scale zero."""
+def noise_scale(L: float, eta: float, d: int, budget: PrivacyBudget) -> float:
+    """Per-coordinate scale 4 L eta sqrt(d) / eps (Laplace, pure DP) or
+    4 L eta sqrt(ln(1/delta)) / eps (Gaussian, delta > 0) for output
+    perturbation at clip level L and step eta; an infinite eps (no
+    privacy) gives scale zero."""
     _check_positive("L", L)
     _check_positive("eta", eta)
-    if eps != math.inf:
-        _check_positive("eps", eps)
     _check_count("d", d)
-    return 4.0 * L * eta * math.sqrt(d) / eps
-
-
-def approx_noise_scale(L: float, eta: float, eps: float, delta: float) -> float:
-    """Gaussian scale 4 L eta sqrt(ln(1/delta)) / eps for (eps, delta)-DP;
-    an infinite eps gives scale zero, as in ``pure_noise_scale``."""
-    _check_positive("L", L)
-    _check_positive("eta", eta)
-    if eps != math.inf:
-        _check_positive("eps", eps)
-    _check_probability("delta", delta)
-    return 4.0 * L * eta * math.sqrt(math.log(1.0 / delta)) / eps
+    delta = budget.delta
+    return 4.0 * L * eta * math.sqrt(math.log(1.0 / delta) if delta > 0 else d) / budget.eps
 
 
 # histogram bins of every audit estimate

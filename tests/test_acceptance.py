@@ -30,7 +30,6 @@ from dpsco import (
     SmoothedHingeMargin,
     SuperefficiencyParams,
     adaptive_solver,
-    approx_noise_scale,
     epoch_growth_solver,
     excess_risk,
     growth_closure_check,
@@ -45,8 +44,8 @@ from dpsco import (
     make_margin_classification,
     make_noiseless_least_squares,
     make_noisy_least_squares,
+    noise_scale,
     pinch_check,
-    pure_noise_scale,
     release_noise,
     stability_bound_check,
     superefficiency_construct,
@@ -311,18 +310,18 @@ def test_criterion_09_noise_calibration():
     x0 = inst.domain.center.copy()
     pure = localization_erm(inst, x0, eta, BUDGET, CFG, RngStream(3, 0))
     pure_exact = all(
-        rec.noise_scale == pure_noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, 1.0)
+        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, BUDGET)
         for rec in pure.trace.epochs
     )
     gauss_budget = PrivacyBudget(1.0, 1e-6)
     gauss = localization_erm(inst, x0, eta, gauss_budget, CFG, RngStream(3, 0))
     gauss_exact = all(
-        rec.noise_scale == approx_noise_scale(L, eta * 2.0 ** (-4 * rec.index), 1.0, 1e-6)
+        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, gauss_budget)
         for rec in gauss.trace.epochs
     )
-    lap = release_noise([2.0], 1_000_000, RngStream(11, 0), gaussian=False)[0]
+    lap = release_noise([2.0], 1_000_000, RngStream(11, 0), BUDGET)[0]
     lap_err = abs(float(lap.std()) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
-    gau = release_noise([1.5], 1_000_000, RngStream(12, 0), gaussian=True)[0]
+    gau = release_noise([1.5], 1_000_000, RngStream(12, 0), gauss_budget)[0]
     gau_err = abs(float(gau.std()) - 1.5) / 1.5
     ok = pure_exact and gauss_exact and lap_err <= 0.01 and gau_err <= 0.01
     _report(

@@ -22,7 +22,6 @@ from dpsco import (
     RngStream,
     Schedule,
     adaptive_solver,
-    approx_noise_scale,
     epoch_growth_solver,
     exact_minimizer,
     excess_risk,
@@ -256,7 +255,8 @@ def test_localization_gaussian_branch_uses_approximate_dp_scale():
     )
     for i, rec in enumerate(res.trace.epochs, start=1):
         eta_i = 0.5 * 2.0 ** (-4 * i)
-        assert rec.noise_scale == approx_noise_scale(2.0, eta_i, budget.eps, budget.delta)
+        sigma = 4.0 * 2.0 * eta_i * math.sqrt(math.log(1.0 / budget.delta)) / budget.eps
+        assert rec.noise_scale == sigma
 
 
 def test_localization_phases_partition_their_span():

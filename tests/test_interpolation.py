@@ -27,7 +27,6 @@ from dpsco import (
     schedule_block_size,
     shrink_diameter,
 )
-from dpsco.interpolation import ShrinkFormulaParams
 from dpsco.hardness import make_noiseless_least_squares
 
 CFG = InnerSolveConfig()
@@ -38,32 +37,32 @@ FREE = PrivacyBudget(math.inf, 0.0)
 # ------------------------------------------------------------- shrink rule
 
 
-def _params(**over):
-    base = dict(c=256.0, T=4, m=256, beta=0.1, d=2, budget=PURE, growth=1.0, kappa=2.0)
-    base.update(over)
-    return ShrinkFormulaParams(**base)
+SHRINK_SCHED = Schedule(T=4, m=256, beta=0.1)
 
 
-def test_shrink_params_validation():
+def _shrink(L_i, schedule=SHRINK_SCHED, d=2, budget=PURE, growth=1.0, kappa=2.0):
+    return shrink_diameter(L_i, schedule, d, budget, growth, kappa)
+
+
+def test_shrink_validation():
     for bad in (
-        dict(c=0.0),
-        dict(T=0),
-        dict(m=1),
-        dict(beta=1.0),
-        dict(d=0),
-        dict(growth=0.0),
-        dict(kappa=1.9),
+        lambda: _shrink(1.0, Schedule(T=4, m=256, beta=0.1, constant_scale=1e307)),  # c = inf
+        lambda: _shrink(1.0, Schedule(T=0, m=256, beta=0.1)),
+        lambda: _shrink(1.0, Schedule(T=4, m=1, beta=0.1)),
+        lambda: _shrink(1.0, Schedule(T=4, m=256, beta=1.0)),
+        lambda: _shrink(1.0, d=0),
+        lambda: _shrink(1.0, growth=0.0),
+        lambda: _shrink(1.0, kappa=1.9),
+        lambda: _shrink(0.0),
     ):
         with pytest.raises(ValueError):
-            _params(**bad)
-    with pytest.raises(ValueError):
-        shrink_diameter(0.0, _params())
+            bad()
 
 
 def test_shrink_worked_example():
     # L_i = 1, lambda = 1, m = 256, T = 4, beta = 0.1, d = 2, eps = 1:
     # 256 * max{sqrt(ln 40) ln^1.5(256)/16, 2 ln 40 ln 256 / 256} ~ 401.4
-    val = shrink_diameter(1.0, _params())
+    val = _shrink(1.0)
     log_fail = math.log(4 / 0.1)
     log_m = math.log(256)
     stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(256)
@@ -73,43 +72,49 @@ def test_shrink_worked_example():
 
 
 def test_shrink_is_linear_in_the_clip_level():
-    p = _params()
-    assert shrink_diameter(2.0, p) == 2.0 * shrink_diameter(1.0, p)
+    assert _shrink(2.0) == 2.0 * _shrink(1.0)
+
+
+def test_shrink_leading_constant_is_linear_in_the_schedule_scale():
+    # c = 256 * constant_scale at kappa = 2, 4 * 2^(12/kappa) * constant_scale beyond
+    half = replace(SHRINK_SCHED, constant_scale=0.5)
+    for kappa in (2.0, 3.0):
+        assert _shrink(1.0, half, kappa=kappa) == 0.5 * _shrink(1.0, kappa=kappa)
 
 
 def test_shrink_approximate_dp_dimension_factor():
     # delta > 0 swaps d for min(d, sqrt(d ln(1/delta)))
+    T, m, beta = SHRINK_SCHED.T, SHRINK_SCHED.m, SHRINK_SCHED.beta
     for d, delta in ((100, 0.5), (2, math.exp(-9.0))):
-        p = _params(d=d, budget=PrivacyBudget(1.0, delta))
-        log_fail = math.log(p.T / p.beta)
-        log_m = math.log(p.m)
+        log_fail = math.log(T / beta)
+        log_m = math.log(m)
         md = min(d, math.sqrt(d * math.log(1.0 / delta)))
-        stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(p.m)
-        priv = md * log_fail * log_m / (p.m * 1.0)
-        assert shrink_diameter(1.0, p) == 256.0 * max(stat, priv)
+        stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(m)
+        priv = md * log_fail * log_m / (m * 1.0)
+        assert _shrink(1.0, d=d, budget=PrivacyBudget(1.0, delta)) == 256.0 * max(stat, priv)
     assert math.sqrt(100 * math.log(2.0)) < 100  # first case exercises the min
     assert math.sqrt(2 * 9.0) > 2  # second case pins md back to d
 
 
 def test_shrink_steeper_growth_takes_a_root():
     # kappa = 3: leading constant 4 * 2^(12/3) = 64 and exponent 1/2
-    p = _params(c=4.0 * 2.0 ** (12.0 / 3.0), kappa=3.0)
-    assert p.c == 64.0
-    log_fail = math.log(p.T / p.beta)
-    log_m = math.log(p.m)
-    stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(p.m)
-    priv = p.d * log_fail * log_m / (p.m * 1.0)
+    c = 4.0 * 2.0 ** (12.0 / 3.0)
+    assert c == 64.0
+    T, m, beta = SHRINK_SCHED.T, SHRINK_SCHED.m, SHRINK_SCHED.beta
+    log_fail = math.log(T / beta)
+    log_m = math.log(m)
+    stat = math.sqrt(log_fail) * log_m**1.5 / math.sqrt(m)
+    priv = 2 * log_fail * log_m / (m * 1.0)
     for L in (0.5, 1.0, 3.0):
-        bracket = (L / p.growth) * max(stat, priv)
-        assert shrink_diameter(L, p) == 64.0 * bracket ** (1.0 / (3.0 - 1.0))
+        bracket = (L / 1.0) * max(stat, priv)
+        assert _shrink(L, kappa=3.0) == 64.0 * bracket ** (1.0 / (3.0 - 1.0))
 
 
 def test_shrink_exponent_vanishes_as_kappa_grows():
     big = 1e9
     c = 4.0 * 2.0 ** (12.0 / big)
-    p = _params(c=c, kappa=big)
     # bracket^(1/(kappa-1)) -> 1, so the output approaches c alone
-    assert abs(shrink_diameter(1.0, p) / c - 1.0) < 1e-6
+    assert abs(_shrink(1.0, kappa=big) / c - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------- localization
@@ -223,11 +228,8 @@ def test_kappa_solver_shrinks_by_the_rooted_rule():
         inst, np.zeros(2), sched, PURE, CFG, RngStream(23, 0), inner_epochs=1
     )
     recs = res.trace.epochs
-    params = ShrinkFormulaParams(
-        c=4.0 * 2.0 ** (12.0 / 3.0) * sched.constant_scale,
-        T=3, m=128, beta=0.1, d=2, budget=PURE, growth=1.0, kappa=3.0,
-    )
-    assert recs[1].diameter == min(shrink_diameter(recs[0].lipschitz, params), recs[0].diameter)
+    shrink = shrink_diameter(recs[0].lipschitz, sched, 2, PURE, 1.0, 3.0)
+    assert recs[1].diameter == min(shrink, recs[0].diameter)
     for prev, rec in zip(recs, recs[1:]):
         assert rec.diameter <= prev.diameter and rec.lipschitz <= prev.lipschitz
     assert inst.domain.contains(res.point)

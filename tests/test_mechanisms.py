@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from dpsco import (
     AuditConfig,
     InconclusiveAuditError,
+    PrivacyBudget,
     RngStream,
-    approx_noise_scale,
     as_generator,
     empirical_epsilon,
-    pure_noise_scale,
+    noise_scale,
     release_noise,
 )
+
+PURE = PrivacyBudget(1.0)
+GAUSS = PrivacyBudget(1.0, 1e-6)
 
 # ---------------------------------------------------------------- streams
 
@@ -58,14 +61,14 @@ def test_as_generator_accepts_streams_and_generators():
 
 
 def test_laplace_vector_moments():
-    draws = release_noise([2.0], 1_000_000, RngStream(11, 0), gaussian=False)[0]
+    draws = release_noise([2.0], 1_000_000, RngStream(11, 0), PURE)[0]
     assert abs(draws.std() - 2.0 * math.sqrt(2.0)) <= 0.01 * 2.0 * math.sqrt(2.0)
     assert abs(draws.mean()) <= 0.02
 
 
 def test_gaussian_vector_moments_and_tail():
     sigma = 1.5
-    draws = release_noise([sigma], 1_000_000, RngStream(12, 0), gaussian=True)[0]
+    draws = release_noise([sigma], 1_000_000, RngStream(12, 0), GAUSS)[0]
     assert abs(draws.mean()) <= 4.0 * sigma / 1000.0
     assert abs(draws.std() - sigma) <= 0.01 * sigma
     tail = float(np.mean(np.abs(draws) > 1.96 * sigma))
@@ -73,22 +76,22 @@ def test_gaussian_vector_moments_and_tail():
 
 
 def test_noise_vector_edge_cases():
-    for gaussian in (False, True):
-        assert release_noise([1.0], 0, RngStream(0), gaussian).shape == (1, 0)
-        assert release_noise([], 3, RngStream(0), gaussian).shape == (0, 3)
+    for budget in (PURE, GAUSS):
+        assert release_noise([1.0], 0, RngStream(0), budget).shape == (1, 0)
+        assert release_noise([], 3, RngStream(0), budget).shape == (0, 3)
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                release_noise([1.0, bad], 3, RngStream(0), gaussian)
+                release_noise([1.0, bad], 3, RngStream(0), budget)
         with pytest.raises(ValueError):
-            release_noise([1.0], -1, RngStream(0), gaussian)
+            release_noise([1.0], -1, RngStream(0), budget)
         with pytest.raises(ValueError):
-            release_noise([[1.0]], 3, RngStream(0), gaussian)
+            release_noise([[1.0]], 3, RngStream(0), budget)
 
 
 def test_noise_vectors_replay_per_stream():
-    a = release_noise([1.0], 16, RngStream(9, 4), gaussian=False)
-    b = release_noise([1.0], 16, RngStream(9, 4), gaussian=False)
-    c = release_noise([1.0], 16, RngStream(9, 5), gaussian=False)
+    a = release_noise([1.0], 16, RngStream(9, 4), PURE)
+    b = release_noise([1.0], 16, RngStream(9, 4), PURE)
+    c = release_noise([1.0], 16, RngStream(9, 5), PURE)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -104,7 +107,7 @@ def test_release_noise_equals_one_draw_per_release(seed, d, sigmas, gaussian):
     # the executor draws a run's noise in one batch; that batch must be the
     # per-release draws byte for byte, with the generator left where they leave it
     batch_gen, loop_gen = RngStream(seed).generator(), RngStream(seed).generator()
-    batch = release_noise(sigmas, d, batch_gen, gaussian)
+    batch = release_noise(sigmas, d, batch_gen, GAUSS if gaussian else PURE)
     draw = loop_gen.normal if gaussian else loop_gen.laplace
     loop = np.array([draw(0.0, s, size=d) for s in sigmas]).reshape(len(sigmas), d)
     assert batch.tobytes() == loop.tobytes()
@@ -115,28 +118,34 @@ def test_release_noise_equals_one_draw_per_release(seed, d, sigmas, gaussian):
 
 
 def test_pure_noise_scale_worked_examples():
-    assert pure_noise_scale(1.0, 0.01, 4, 0.5) == 0.16
-    assert pure_noise_scale(1.0, 1.0, 1, 4.0) == 1.0
-    base = pure_noise_scale(1.0, 0.01, 4, 0.5)
-    assert pure_noise_scale(1.0, 0.02, 4, 0.5) == 2.0 * base
+    half = PrivacyBudget(0.5)
+    assert noise_scale(1.0, 0.01, 4, half) == 0.16
+    assert noise_scale(1.0, 1.0, 1, PrivacyBudget(4.0)) == 1.0
+    base = noise_scale(1.0, 0.01, 4, half)
+    assert noise_scale(1.0, 0.02, 4, half) == 2.0 * base
 
 
 def test_approx_noise_scale_worked_examples():
-    assert approx_noise_scale(1.0, 1.0, 4.0, math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
-    assert approx_noise_scale(2.0, 0.5, 1.0, math.exp(-4.0)) == pytest.approx(8.0, abs=1e-12)
+    def scale(L, eta, eps, delta):
+        return noise_scale(L, eta, 2, PrivacyBudget(eps, delta))
+
+    assert scale(1.0, 1.0, 4.0, math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert scale(2.0, 0.5, 1.0, math.exp(-4.0)) == pytest.approx(8.0, abs=1e-12)
     # shrinking delta costs more noise
-    assert approx_noise_scale(1.0, 1.0, 1.0, 1e-6) > approx_noise_scale(1.0, 1.0, 1.0, 1e-2)
+    assert scale(1.0, 1.0, 1.0, 1e-6) > scale(1.0, 1.0, 1.0, 1e-2)
+    # the Gaussian scale does not depend on d
+    assert noise_scale(1.0, 1.0, 9, GAUSS) == noise_scale(1.0, 1.0, 1, GAUSS)
 
 
 def test_noise_scale_validation():
     with pytest.raises(ValueError):
-        pure_noise_scale(0.0, 1.0, 1, 1.0)
+        noise_scale(0.0, 1.0, 1, PURE)
     with pytest.raises(ValueError):
-        pure_noise_scale(1.0, 1.0, 0, 1.0)
+        noise_scale(1.0, 1.0, 0, PURE)
     with pytest.raises(ValueError):
-        approx_noise_scale(1.0, 1.0, 1.0, 0.0)
+        noise_scale(1.0, 1.0, 0, GAUSS)
     with pytest.raises(ValueError):
-        approx_noise_scale(1.0, 1.0, 1.0, 1.0)
+        noise_scale(1.0, 1.0, 1, PrivacyBudget(1.0, 1.0))
 
 
 # ------------------------------------------------------------------- audit

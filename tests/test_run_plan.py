@@ -9,6 +9,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsco import (
@@ -27,7 +28,7 @@ from dpsco import (
     solve_regularized_erm,
 )
 from _oracles import gradient_descent_only, unclipped
-from dpsco import base_solvers
+from dpsco import base_solvers, interpolation
 from dpsco.hardness import (
     make_lower_bound_instance,
     make_margin_classification,
@@ -202,6 +203,66 @@ def test_releases_depend_on_neither_the_noise_nor_the_row_order(
     spans = sorted(rel[0] for rel in first)
     assert spans and all(0 <= lo < hi <= n for lo, hi in spans)
     assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+def _neighbour(inst, row, point, label=None):
+    """inst with one row replaced and the declared constants kept."""
+    points = inst.dataset.points.copy()
+    points[row] = point
+    labels = inst.dataset.labels
+    if labels is not None:
+        labels = labels.copy()
+        labels[row] = label
+    return replace(inst, dataset=Dataset(points, labels), optimum=None)
+
+
+def _neighbour_pairs():
+    """(label, instance, neighbour, solvers the CLI runs on it). The noisy
+    least-squares generator is left out: it sets L from the samples, so
+    its neighbour declares other constants (ROADMAP direction 1)."""
+    far = np.array([50.0, -50.0])
+    quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
+    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
+    hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
+    # the hinge declares no growth, so the localizing solvers refuse it
+    return [
+        (f"{tag}-row{row}", inst, neighbour(inst, row), solvers)
+        for tag, inst, neighbour, solvers in (
+            ("quad", quad, lambda i, row: _neighbour(i, row, far), sorted(_SOLVERS)),
+            ("ind", ind, lambda i, row: _neighbour(i, row, far), sorted(_SOLVERS)),
+            ("hinge", hinge,
+             lambda i, row: _neighbour(i, row, [0.0, 1.0], -i.dataset.labels[row]),
+             ["erm", "growth"]),
+        )
+        for row in (0, 200, 383)
+    ]
+
+
+_NEIGHBOUR_PAIRS = _neighbour_pairs()
+
+
+@pytest.mark.parametrize("budget", [PURE, GAUSS], ids=["pure", "gauss"])
+@pytest.mark.parametrize(
+    "inst, neighbour, solvers", [pair[1:] for pair in _NEIGHBOUR_PAIRS],
+    ids=[pair[0] for pair in _NEIGHBOUR_PAIRS],
+)
+def test_a_neighbouring_dataset_gets_the_same_plan(inst, neighbour, solvers, budget):
+    # the plan is built from public values only, so replacing one sample
+    # cannot change any release's span, radius, clip, step or noise scale
+    plans = []
+
+    def capture(inst, plan, x, budget, cfg, rng):
+        plans.append(plan)
+
+    with mock.patch.object(base_solvers, "_run", capture), \
+            mock.patch.object(interpolation, "_run", capture):
+        for solver in solvers:
+            for data in (inst, neighbour):
+                _SOLVERS[solver](data, RngStream(0, 1), budget)
+    assert len(plans) == 2 * len(solvers)
+    for solver, plan, other in zip(solvers, plans[::2], plans[1::2]):
+        assert plan.steps, solver
+        assert plan == other, solver
 
 
 def _one_release_at_a_time(fn):

@@ -1,16 +1,19 @@
 """Source checks that need no linter: every import in the package is
 used, every public name and every settable value has a caller outside
-the tests, and only the validation funnel tests whether a value is an
-integer."""
+the tests, only the validation funnel tests whether a value is an
+integer, and no plan builder takes the instance or its data."""
 
 import ast
 import dataclasses
 import inspect
+import typing
 from pathlib import Path
 
 import pytest
 
 import dpsco
+from dpsco import base_solvers, interpolation
+from dpsco.problems import Dataset, Instance
 
 PACKAGE = Path(dpsco.__file__).resolve().parent
 # __init__.py imports names to re-export them, not to use them
@@ -199,6 +202,30 @@ def test_every_settable_value_has_a_setter_outside_the_tests():
     sources = [path.read_text(encoding="utf-8") for path in MODULES + PERFBENCH]
     # an allowed value that gains a setter leaves the list
     assert _unset_values(settable, sources) == sorted(SETTABLE_TEST_ONLY_ALLOWED)
+
+
+def _data_parameters(module) -> dict[str, list[str]]:
+    """For each ``*_plan`` function of a module, its parameters annotated
+    ``Instance`` or ``Dataset`` or named like one."""
+    found = {}
+    for name, fn in vars(module).items():
+        if not (name.endswith("_plan") and inspect.isfunction(fn)):
+            continue
+        hints = typing.get_type_hints(fn)
+        found[name] = [
+            param for param in inspect.signature(fn).parameters
+            if hints.get(param) in (Instance, Dataset)
+            or param in ("inst", "instance", "dataset", "data")
+        ]
+    return found
+
+
+def test_no_plan_builder_takes_the_instance_or_its_data():
+    # a plan fixes every release from public values before any sample is
+    # read; a builder that cannot see the samples cannot depend on them
+    found = _data_parameters(base_solvers) | _data_parameters(interpolation)
+    assert {"erm_plan", "growth_plan", "localize_plan"} <= set(found)
+    assert {name: params for name, params in found.items() if params} == {}
 
 
 def _integer_type_tests(source: str) -> list[tuple[str | None, int]]:

@@ -23,10 +23,8 @@ from dpsco import (
     Quadratic1D,
     RngStream,
     Schedule,
-    ShrinkFormulaParams,
     SuperefficiencyParams,
     adaptive_solver,
-    approx_noise_scale,
     as_point,
     build_instance,
     default_inner_epochs,
@@ -43,13 +41,14 @@ from dpsco import (
     make_packing,
     modulus_oracle,
     pinch_check,
-    pure_noise_scale,
+    noise_scale,
     release_noise,
     run_audit,
     run_oracles,
     run_sweep,
     sample_complexity,
     schedule_block_size,
+    shrink_diameter,
     solve_regularized_erm,
     stability_bound_check,
     superefficiency_construct,
@@ -78,9 +77,8 @@ def _solve(span):
     return x.tolist(), consumed
 
 
-def _shrink(**sizes):
-    args = dict(c=1.0, T=2, m=16, beta=0.1, d=2, budget=PURE, growth=1.0) | sizes
-    return ShrinkFormulaParams(**args)
+def _shrink(d=2, schedule=SCHED):
+    return shrink_diameter(1.0, schedule, d, PURE, 1.0, 2.0)
 
 
 # (owner, argument, call with the count, a valid count, lower bound, upper bound)
@@ -90,8 +88,8 @@ COUNTS = [
     ("RngStream", "seed", lambda v: RngStream(v).generator().random(3).tolist(), 3, 0, None),
     ("RngStream", "stream", lambda v: RngStream(0, v).generator().random(3).tolist(), 3, 0, None),
     ("release_noise", "d",
-     lambda v: release_noise([1.0, 2.0], v, RngStream(0), False).tolist(), 2, 0, None),
-    ("pure_noise_scale", "d", lambda v: pure_noise_scale(1.0, 1.0, v, 1.0), 2, 1, None),
+     lambda v: release_noise([1.0, 2.0], v, RngStream(0), PURE).tolist(), 2, 0, None),
+    ("noise_scale", "d", lambda v: noise_scale(1.0, 1.0, v, PURE), 2, 1, None),
     ("AuditConfig", "trials",
      lambda v: AuditConfig(clamp=(0.0, 1.0), trials=v), 20_000, 10_000, None),
     ("run_audit", "n", lambda v: run_audit(RngStream(0), n=v, trials=10_000), 50, 1, None),
@@ -110,9 +108,9 @@ COUNTS = [
     ("epoch_growth_solver", "T",
      lambda v: _point(epoch_growth_solver(INST, X0, v, 0.1, PURE, CFG, RngStream(0))), 2, 1, None),
     # interpolation
-    ("ShrinkFormulaParams", "T", lambda v: _shrink(T=v), 2, 1, None),
-    ("ShrinkFormulaParams", "m", lambda v: _shrink(m=v), 16, 2, None),
-    ("ShrinkFormulaParams", "d", lambda v: _shrink(d=v), 2, 1, None),
+    ("shrink_diameter", "T",
+     lambda v: _shrink(schedule=Schedule(T=v, m=16, beta=0.1)), 2, 1, None),
+    ("shrink_diameter", "d", lambda v: _shrink(d=v), 2, 1, None),
     ("interpolation_width", "n",
      lambda v: interpolation_width(v, CONSTANTS, 2, PURE, 0.1, 1.0), 256, 2, None),
     ("interpolation_width", "d",
@@ -200,6 +198,24 @@ def test_every_count_is_an_integer_and_never_a_bool(owner, argument, call, good,
             call(value)
 
 
+def test_the_shrink_rule_needs_two_samples_per_block():
+    # a Schedule allows m = 1 (and refuses True with ">= 1" first), so this
+    # bound cannot be a COUNTS row; the plan checks it before its first epoch,
+    # even on a one-epoch schedule that never shrinks
+    message = "^m must be an integer >= 2, got 1$"
+    one = Schedule(T=2, m=1, beta=0.1)
+    with pytest.raises(ValueError, match=message):
+        shrink_diameter(1.0, one, 2, PURE, 1.0, 2.0)
+    for T in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            interpolation_localization(INST, X0, Schedule(T=T, m=1, beta=0.1), PURE, CFG,
+                                       RngStream(0))
+    two = Schedule(T=2, m=np.int64(2), beta=0.1)
+    assert shrink_diameter(1.0, two, 2, PURE, 1.0, 2.0) == shrink_diameter(
+        1.0, Schedule(T=2, m=2, beta=0.1), 2, PURE, 1.0, 2.0
+    )
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -222,14 +238,19 @@ def test_every_count_is_an_integer_and_never_a_bool(owner, argument, call, good,
         pytest.param(lambda: Schedule(T=2, m=16, beta=0.1, constant_scale=math.inf),
                      "constant_scale must be a positive real, got inf", id="schedule-scale"),
         # the noise scales came out infinite
-        pytest.param(lambda: pure_noise_scale(math.inf, 1.0, 2, 1.0),
+        pytest.param(lambda: noise_scale(math.inf, 1.0, 2, PURE),
                      "L must be a positive real, got inf", id="pure-L"),
-        pytest.param(lambda: pure_noise_scale(1.0, math.inf, 2, 1.0),
+        pytest.param(lambda: noise_scale(1.0, math.inf, 2, PURE),
                      "eta must be a positive real, got inf", id="pure-eta"),
-        pytest.param(lambda: approx_noise_scale(math.inf, 1.0, 1.0, 1e-6),
+        pytest.param(lambda: noise_scale(math.inf, 1.0, 2, PrivacyBudget(1.0, 1e-6)),
                      "L must be a positive real, got inf", id="approx-L"),
-        pytest.param(lambda: approx_noise_scale(1.0, math.inf, 1.0, 1e-6),
+        pytest.param(lambda: noise_scale(1.0, math.inf, 2, PrivacyBudget(1.0, 1e-6)),
                      "eta must be a positive real, got inf", id="approx-eta"),
+        # the shrink's leading constant 256 * constant_scale overflowed
+        pytest.param(lambda: shrink_diameter(
+                         1.0, Schedule(T=2, m=16, beta=0.1, constant_scale=1e307), 2, PURE, 1.0,
+                         2.0),
+                     "c must be a positive real, got inf", id="shrink-c"),
     ],
 )
 def test_an_infinite_real_that_means_nothing_is_refused(build, message):
@@ -239,8 +260,8 @@ def test_an_infinite_real_that_means_nothing_is_refused(build, message):
 
 def test_the_two_infinite_reals_keep_their_meaning():
     # an infinite budget draws no noise, an infinite clip level clips nothing
-    assert pure_noise_scale(1.0, 1.0, 2, math.inf) == 0.0
-    assert approx_noise_scale(1.0, 1.0, math.inf, 1e-6) == 0.0
+    assert noise_scale(1.0, 1.0, 2, PrivacyBudget(math.inf)) == 0.0
+    assert noise_scale(1.0, 1.0, 2, PrivacyBudget(math.inf, 1e-6)) == 0.0
     assert PrivacyBudget(math.inf).eps == math.inf
     for bad in (0.0, -1.0, math.nan, -math.inf):
         with pytest.raises(ValueError, match="^eps must be a positive real"):
