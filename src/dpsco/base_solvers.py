@@ -4,10 +4,10 @@ A run is a plan fixed before any sample is read: a tree whose leaves are
 noisy releases. Each release's sample span, ball radius, clip level,
 step and noise scale follow from n, the schedule, the budget and the
 declared constants alone, never from the iterates or the noise drawn.
-``_execute`` walks the tree. Each step recentres a ball on the current
-iterate (or keeps the enclosing domain), then either solves its phase
-and adds noise or runs its nested plan inside that ball and projects
-back onto it, and writes its ``EpochRecord``. Innermost first:
+Each step recentres a ball on the current iterate (or keeps the
+enclosing domain), then either solves its phase and adds noise or runs
+its nested plan inside that ball and projects back onto it, and writes
+its ``EpochRecord``. Innermost first:
 
 * ``solve_regularized_erm``: one phase. Minimize the span-average loss
   plus ``(1/(eta n0)) ||x - center||^2`` over a ball. Closed form whenever
@@ -39,17 +39,25 @@ the input domain (post-processing, so privacy is unaffected). An
 infinite budget makes every noise scale zero and the draw is skipped.
 
 Inputs are validated once, at entry: the public solvers check x0 and
-the plan builders check every release, so ``_execute`` builds no
+the plan builders check every release, so the executor builds no
 ``Ball`` and solves every phase on raw arrays and raw (center, radius)
-balls. ``_releases`` walks the releases of one ``erm_plan`` as a block:
-it chains their closed forms with no pass over the rows, checks the
-whole chain in one batched pass (``_closed_form_count``), and solves a
+balls. A run is walked as one block, across leaf and nested-plan
+boundaries. ``_flatten`` lays the tree out in run order (depth first):
+its releases, and between them the frame ops that enter a nested
+plan's ball and leave it, where leaving projects the iterate onto the
+ball. ``_execute`` walks that layout in windows of releases: it chains
+their closed forms and the frame ops between them with no pass over
+the rows, checks the whole window in one batched pass per segment of
+at most ``_SEGMENT_ROWS`` rows (``_certify``), and solves the first
 release that fails the check by the one gradient-descent loop
-(``_phase``) before it resumes. The noise of a whole run is drawn
-before its first phase, in one ``release_noise`` batch over the
-releases with sigma > 0 in run order (depth first). That batch equals
-the per-release draws bit for bit, but a caller-supplied ``Generator``
-advances by the whole run's draw even when a phase raises.
+(``_phase``) before it resumes. The first window is the whole run;
+after a rejection a window is one release, doubling after each fully
+accepted one. ``_trace`` then writes every step's record from the
+walk's iterates. The noise of a whole run is drawn before its first
+phase, in one ``release_noise`` batch over the releases with sigma > 0
+in run order. That batch equals the per-release draws bit for bit, but
+a caller-supplied ``Generator`` advances by the whole run's draw even
+when a phase raises.
 
 A solver runs on its whole instance: all n samples, the instance's
 domain and its declared Lipschitz level. To run on a sub-span, inside a
@@ -63,6 +71,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,9 +133,9 @@ def solve_regularized_erm(
 
     Returns (minimizer, max consumed gradient norm at the minimizer).
     Raises ConvergenceError when gradient descent cannot reach tolerance
-    within cfg.max_iterations. This is the executor's release walk on a
-    block of one release, without noise. The clip level is a positive
-    real that may also be infinite: no clipping, the default.
+    within cfg.max_iterations. This is the executor's walk on a run of
+    one release, without noise. The clip level is a positive real that
+    may also be infinite: no clipping, the default.
     """
     center = as_point(center, inst.d)
     if domain.d != inst.d:
@@ -138,101 +148,233 @@ def solve_regularized_erm(
     lo, hi = (0, inst.n) if span is None else span
     _check_count("span start", lo, lo=0, hi=inst.n - 1)
     _check_count("span end", hi, lo=lo + 1, hi=inst.n)
-    step = Step((lo, hi), None, None, clip, 0.0, eta)
-    (x,), (consumed,) = _releases(
-        inst, (step,), center, domain.center, domain.radius, cfg, iter(()), tolerance
+    flat = _flatten(Plan((Step((lo, hi), None, None, clip, 0.0, eta),)))
+    (x,), (consumed,), _ = _execute(
+        inst, flat, center, domain.center, domain.radius, cfg, (), tolerance
     )
     return x, consumed
 
 
-def _closed_form_count(H, block, pulls, empty, centers, radii, clip) -> int:
+def _closed_form_count(H, block, pulls, empty, centers, radii, clips) -> int:
     """How many leading releases of a block the quadratic closed form
     solves exactly.
 
     Release i qualifies when it has no anchor (``empty[i]``) or when the
     largest per-sample gradient anywhere in its ball (centers[i],
     radii[i]), H * (max_s ||s - centers[i]|| + radii[i]) over the rows s
-    of its slice of ``block`` that pull, is at most ``clip``: clipping
-    can then never activate during a solve confined to the ball.
+    of its slice of ``block`` that pull, is at most its clip level
+    ``clips[i]``: clipping can then never activate during a solve
+    confined to the ball.
     """
     dist = np.where(pulls, _row_norms(block - centers[:, None, :]), 0.0)
     reaches = np.maximum.reduce(dist, axis=1).tolist()
-    for i, (reach, r, no_anchor) in enumerate(zip(reaches, radii, empty)):
+    for i, (reach, r, clip, no_anchor) in enumerate(zip(reaches, radii, clips, empty)):
         if not (no_anchor or H * (reach + r) <= clip):
             return i
     return len(radii)
 
 
-def _releases(inst, steps, x, center, radius, cfg, noise, tolerance=None):
-    """Solve the releases of one ``erm_plan`` in order from x: the one
-    place a release is solved and noised.
+class _Frames:
+    """The balls a run's walk is inside: frame 0 is the run's own ball,
+    frame g > 0 the ball of its g-th nested plan in run order. Radii are
+    fixed by the plan; a centre is set when the walk enters the frame."""
 
-    The releases lie on equal, contiguous slices of n0 rows and clip at
-    one level. A release with ``radius`` None solves in the ball (center,
-    radius); otherwise in the ball of its radius around the current
-    iterate. ``noise`` yields the pre-drawn rows of the releases with
-    sigma > 0, one per release in release order; a release with sigma 0
-    runs gradient descent to ``tolerance`` (or ``cfg``'s).
+    def __init__(self, spec, center, radius):
+        self.spec = spec
+        self.center = [center] * len(spec)
+        self.radius = [radius]
+        for parent, r, _ in spec[1:]:
+            self.radius.append(self.radius[parent] if r is None else r)
+        self.exits = [None] * len(spec)  # each frame's end point, once left
 
-    On an anchor family the releases are walked as one block. The chain
-    of closed forms (alpha_i m_i + reg_i x)/(alpha_i + reg_i), each
-    projected onto its ball and noised, needs no pass over the rows;
-    ``_closed_form_count`` then checks every release of the chain at
-    once. The accepted releases are kept, and their consumed gradients
-    go through ``clip_gradients`` in one batch. The first rejected
-    release runs gradient descent (``_phase``) from the same iterate,
-    with its own noise row, and the walk resumes after it. The hinge has
-    no anchors, so every release runs gradient descent.
+    def step(self, op, y):
+        """Apply one frame op to the iterate y and return the new iterate.
+        Op g > 0 enters frame g: its centre is y, or the enclosing centre
+        when the nested step has no radius of its own. Op ~g leaves frame
+        g: y is projected onto its ball (an empty plan ends at the
+        centre instead)."""
+        if op > 0:
+            parent, r, _ = self.spec[op]
+            self.center[op] = self.center[parent] if r is None else y
+            return y
+        f = ~op
+        if self.spec[f][2]:
+            y = self.center[f].copy()
+        else:
+            y = _project(y, self.center[f], self.radius[f])
+        self.exits[f] = y
+        return y
 
-    Returns each release's iterate (noise added) and the largest
-    gradient norm it consumed.
+
+# rows per segment: the walk's batched temporaries stay a few hundred KB
+_SEGMENT_ROWS = 4096
+
+
+class _Anchors:
+    """A run's releases on an anchor family, prepared for the closed form.
+    Each maximal stretch of releases with one slice length n0 and at most
+    ``_SEGMENT_ROWS`` rows is a segment ``(first, end, starts, pulls)``:
+    releases first..end-1, their slices' first rows and the (end - first,
+    n0) mask of the rows that pull. Per release it holds the anchor pull
+    alpha m (a row of ``pull``), the proximal coefficient reg, the
+    denominator alpha + reg, whether the slice has no anchor, its ball
+    radius and its clip level."""
+
+    def __init__(self, inst, leaves, radii):
+        fam = inst.family
+        self.family, self.points, self.radii = fam, inst.dataset.points, radii
+        self.clips = [step.clip for step in leaves]
+        self.segments, self.segment = [], []
+        pull, self.regs, self.dens, self.empty = [], [], [], []
+        first = 0
+        while first < len(leaves):
+            lo, hi = leaves[first].span
+            n0, end = hi - lo, first + 1
+            last = min(len(leaves), first + max(1, _SEGMENT_ROWS // n0))
+            while end < last and leaves[end].span[1] - leaves[end].span[0] == n0:
+                end += 1
+            starts = np.array([step.span[0] for step in leaves[first:end]])
+            means, counts, pulls = fam.block_anchors(self.rows(starts, n0))
+            # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
+            # in the last bit, and this rounding is part of every recorded run
+            alpha = [fam.H * count / n0 for count in counts]
+            regs = [2.0 / (step.eta * n0) for step in leaves[first:end]]  # proximal coefficients
+            pull.append(np.array(alpha)[:, None] * means)
+            self.regs += regs
+            self.dens += [a + reg for a, reg in zip(alpha, regs)]
+            self.empty += [count == 0 for count in counts]
+            self.segment += [len(self.segments)] * (end - first)
+            self.segments.append((first, end, starts, pulls))
+            first = end
+        self.pull = np.concatenate(pull)
+
+    def rows(self, starts, n0):
+        """The (k, n0, d) block of the slices that start at ``starts``,
+        gathered afresh each time so that no run holds a copy of its data."""
+        return np.take(self.points, starts[:, None] + np.arange(n0), axis=0)
+
+
+def _certify(anchors, i, centers, bests) -> tuple[int, list[float]]:
+    """Check chained releases i, i + 1, ... with ball centres ``centers``
+    and closed-form minimizers ``bests``: how many leading ones the
+    closed form solves exactly (``_closed_form_count``, one batched pass
+    per segment), and the largest gradient norm each of those consumed.
+    The consumed gradients go through ``clip_gradients`` at each
+    release's own level."""
+    fam, stop = anchors.family, i + len(centers)
+    accepted, used = 0, []
+    while i + accepted < stop:
+        m = i + accepted
+        first, end, starts, pulls = anchors.segments[anchors.segment[m]]
+        end = min(end, stop)
+        rows = anchors.rows(starts[m - first:end - first], pulls.shape[1])
+        count = _closed_form_count(
+            fam.H, rows, pulls[m - first:end - first], anchors.empty[m:end],
+            _stack(centers[accepted:end - i]), anchors.radii[m:end], anchors.clips[m:end],
+        )
+        if count:
+            grads = fam.gradients(_stack(bests[accepted:accepted + count]), rows[:count])
+            used += _consumed(grads, anchors.clips[m:m + count])
+        accepted += count
+        if m + count < end:
+            break
+    return accepted, used
+
+
+def _stack(points) -> np.ndarray:
+    """Equal-length vectors as the rows of one array (``np.array``'s
+    values at half its cost)."""
+    return np.concatenate(points).reshape(len(points), -1)
+
+
+def _consumed(grads, clips) -> list[float]:
+    """Largest consumed norm of each release in a (k, n0, d) gradient
+    block, clipped at that release's level; one ``clip_gradients`` call
+    per run of releases sharing a level."""
+    used, a = [], 0
+    for clip, run in groupby(clips):
+        b = a + sum(1 for _ in run)
+        _, norms = clip_gradients(grads[a:b].reshape(-1, grads.shape[2]), clip)
+        used += np.maximum.reduce(norms.reshape(b - a, -1), axis=1).tolist()
+        a = b
+    return used
+
+
+def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
+    """Walk a flattened plan from x inside the ball (center, radius): the
+    one place a release is solved and noised.
+
+    A release with ``radius`` None solves in the ball of its frame (the
+    innermost nested plan around it); otherwise in the ball of its radius
+    around the current iterate. ``noise`` holds the pre-drawn rows of
+    the releases with sigma > 0, one per release in run order; a release
+    with sigma 0 runs gradient descent to ``tolerance`` (or ``cfg``'s).
+
+    On an anchor family the releases are walked in windows. From the
+    current iterate the walk chains each release's closed form
+    (alpha_i m_i + reg_i x)/(alpha_i + reg_i), projected onto its ball
+    and noised, and every frame op between releases, with no pass over
+    the rows; ``_certify`` then checks the whole window in one batched
+    pass per segment and gives the accepted releases' consumed norms.
+    The first rejected release runs gradient descent (``_phase``) from
+    its incoming iterate, with its own noise row, and the walk resumes
+    after it. The first window is the whole run; after a rejection the
+    window is one release, doubling after each fully accepted window,
+    so a run of R releases checks at most 3R. The hinge has no anchors,
+    so every release runs gradient descent.
+
+    Returns each release's iterate (noise added), the largest gradient
+    norm it consumed, and each frame's end point (``_Frames.exits``).
     """
-    fam, k, clip = inst.family, len(steps), steps[0].clip
-    lo, n0 = steps[0].span[0], steps[0].span[1] - steps[0].span[0]
-    rows = [next(noise) if step.sigma > 0 else None for step in steps]
-    radii = [radius if step.radius is None else step.radius for step in steps]
-    iterates, consumed = [], []
-    if fam.anchors is not None:
-        block = inst.dataset.points[lo:lo + k * n0].reshape(k, n0, inst.d)
-        means, counts, pulls = fam.block_anchors(block)
-        # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
-        # in the last bit, and this rounding is part of every recorded run
-        alpha = [fam.H * count / n0 for count in counts]
-        pull = np.array(alpha)[:, None] * means
-        regs = [2.0 / (step.eta * n0) for step in steps]  # proximal gradient coefficients
-        empty = [count == 0 for count in counts]
-    i = 0
-    while i < k:
-        j = i
-        if fam.anchors is not None:
-            y, centers, bests, chain = x, [], [], []
-            for m in range(i, k):
-                c = center if steps[m].radius is None else y
-                target = y if empty[m] else (pull[m] + regs[m] * y) / (alpha[m] + regs[m])
+    leaves, frame, pre = flat.leaves, flat.frame, flat.pre
+    frames = _Frames(flat.frames, center, radius)
+    total = len(leaves)
+    draw = iter(range(len(noise)))
+    row_of = [next(draw) if step.sigma > 0 else None for step in leaves]
+    radii = [frames.radius[f] if step.radius is None else step.radius
+             for step, f in zip(leaves, frame)]
+    iterates, consumed = [None] * total, [None] * total
+    anchors = None
+    if total and inst.family.anchors is not None:
+        anchors = _Anchors(inst, leaves, radii)
+        pull, regs, dens, empty = anchors.pull, anchors.regs, anchors.dens, anchors.empty
+    i, window = 0, total
+    while i < total:
+        if anchors is not None:
+            stop = min(i + window, total)
+            y, entries, centers, bests, chain = x, [], [], [], []
+            for m in range(i, stop):
+                for op in pre[m]:
+                    y = frames.step(op, y)
+                c = frames.center[frame[m]] if leaves[m].radius is None else y
+                target = y if empty[m] else (pull[m] + regs[m] * y) / dens[m]
                 best = _project(target, c, radii[m])
-                y = best if rows[m] is None else best + rows[m]
+                entries.append(y)
                 centers.append(c)
                 bests.append(best)
+                y = best if row_of[m] is None else best + noise[row_of[m]]
                 chain.append(y)
-            j += _closed_form_count(fam.H, block[i:], pulls[i:], empty[i:], np.array(centers),
-                                    radii[i:], clip)
-            if j > i:
-                grads = fam.gradients(np.array(bests[:j - i]), block[i:j])
-                _, norms = clip_gradients(grads.reshape(-1, inst.d), clip)
-                consumed += np.maximum.reduce(norms.reshape(j - i, n0), axis=1).tolist()
-                iterates += chain[:j - i]
-                x = iterates[-1]
-        if j < k:
-            step = steps[j]
-            c = center if step.radius is None else x
-            tol = step.sigma / 100.0 if step.sigma > 0 else tolerance
-            x, used = _phase(inst, x, step.eta, c, radii[j], cfg, *step.span, clip, tol)
-            if rows[j] is not None:
-                x = x + rows[j]
-            iterates.append(x)
-            consumed.append(used)
-        i = j + 1
-    return iterates, consumed
+            accepted, used = _certify(anchors, i, centers, bests)
+            iterates[i:i + accepted] = chain[:accepted]
+            consumed[i:i + accepted] = used
+            if i + accepted == stop:
+                i, x, window = stop, y, 2 * window
+                continue
+            i, x, c, window = i + accepted, entries[accepted], centers[accepted], 1
+        else:
+            for op in pre[i]:
+                x = frames.step(op, x)
+            c = frames.center[frame[i]] if leaves[i].radius is None else x
+        step = leaves[i]
+        tol = step.sigma / 100.0 if step.sigma > 0 else tolerance
+        x, consumed[i] = _phase(inst, x, step.eta, c, radii[i], cfg, *step.span, step.clip, tol)
+        if row_of[i] is not None:
+            x = x + noise[row_of[i]]
+        iterates[i] = x
+        i += 1
+    for op in flat.post:
+        x = frames.step(op, x)
+    return iterates, consumed, frames.exits
 
 
 def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
@@ -383,54 +525,85 @@ def growth_plan(
     return Plan(tuple(steps), n_span - T * n0)
 
 
-def _leaf_sigmas(plan: Plan) -> list[float]:
-    """Noise scales of the releases that draw noise, in run order."""
-    sigmas = []
+class _Flat(NamedTuple):
+    """A plan in run order: its releases (``leaves``), the frame each lies
+    in (``frame``, see ``_Frames``), the frame ops before each release
+    (``pre``) and after the last (``post``, ending with leaving frame 0),
+    and per frame its (parent, radius, empty) from the plan: radius None
+    keeps the enclosing ball, and an empty plan ends at its centre. Op
+    g > 0 enters frame g; op ~g leaves it."""
+
+    leaves: tuple[Step, ...]
+    frame: tuple[int, ...]
+    pre: tuple[tuple[int, ...], ...]
+    post: tuple[int, ...]
+    frames: tuple[tuple[int, float | None, bool], ...]
+
+
+def _flatten(plan: Plan) -> _Flat:
+    """``plan`` laid out in run order (depth first), as frame 0."""
+    leaves, frame, pre, frames, ops = [], [], [], [(-1, None, not plan.steps)], []
+    _lay_out(plan, 0, leaves, frame, pre, frames, ops)
+    ops.append(~0)
+    return _Flat(tuple(leaves), tuple(frame), tuple(pre), tuple(ops), tuple(frames))
+
+
+def _lay_out(plan, f, leaves, frame, pre, frames, ops) -> None:
+    """Append ``plan``, the plan of frame f, to a layout. A plan's steps
+    are all releases (an ``erm_plan``) or all nested plans; ``ops`` holds
+    the frame ops not yet placed before a release."""
+    if plan.steps and plan.steps[0].sub is None:
+        leaves += plan.steps
+        frame += [f] * len(plan.steps)
+        pre += [tuple(ops)] + [()] * (len(plan.steps) - 1)
+        ops.clear()
+        return
     for step in plan.steps:
-        if step.sub is not None:
-            sigmas += _leaf_sigmas(step.sub)
-        elif step.sigma > 0:
-            sigmas.append(step.sigma)
-    return sigmas
+        g = len(frames)
+        frames.append((f, step.radius, not step.sub.steps))
+        ops.append(g)
+        _lay_out(step.sub, g, leaves, frame, pre, frames, ops)
+        ops.append(~g)
 
 
-def _execute(inst, plan, x, center, radius, cfg, noise):
-    """Walk ``plan`` from x inside the ball (center, radius): the one
-    place a step is recorded. A plan's steps are all releases (an
-    ``erm_plan``, solved by ``_releases``) or all nested plans.
-    ``noise`` yields the run's pre-drawn noise rows in release order.
-    Returns the end point projected onto the ball (its centre for an
-    empty plan) and the run's trace."""
-    if not plan.steps:
-        return center.copy(), RunTrace(epochs=(), dropped=plan.dropped, note=plan.note)
-    children = []
-    if plan.steps[0].sub is None:
-        iterates, consumed = _releases(inst, plan.steps, x, center, radius, cfg, noise)
+def _trace(plan: Plan, iterates, consumed, exits) -> RunTrace:
+    """The trace of a walked plan: the one place a step is recorded.
+    ``iterates`` and ``consumed`` yield each release's iterate and
+    largest consumed norm in run order, ``exits`` each nested plan's end
+    point in run order; a nested step records its plan's end point and
+    largest consumed norm."""
+    if plan.steps and plan.steps[0].sub is None:
+        k = len(plan.steps)
+        points, used, children = list(islice(iterates, k)), list(islice(consumed, k)), ()
     else:
-        iterates, consumed = [], []
+        points, used, children = [], [], []
         for step in plan.steps:
-            c, r = (center, radius) if step.radius is None else (x, step.radius)
-            x, child = _execute(inst, step.sub, x, c, r, cfg, noise)
-            iterates.append(x)
+            points.append(next(exits))
+            child = _trace(step.sub, iterates, consumed, exits)
             children.append(child)
-            consumed.append(child.max_consumed_gradient)
+            used.append(child.max_consumed_gradient)
+        children = tuple(children)
     records = tuple(
         EpochRecord(index, step.diameter, step.clip, it, step.sigma, step.span)
-        for index, (step, it) in enumerate(zip(plan.steps, iterates), start=1)
+        for index, (step, it) in enumerate(zip(plan.steps, points), start=1)
         if step.diameter is not None
     )
-    trace = RunTrace(records, plan.dropped, tuple(children), max([0.0, *consumed]), plan.note)
-    return _project(iterates[-1], center, radius), trace
+    return RunTrace(records, plan.dropped, children, max([0.0, *used]), plan.note)
 
 
 def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:
     """Execute a top-level plan from a validated x inside the instance's
-    domain, with every release's noise drawn up front in one batch."""
-    noise = release_noise(_leaf_sigmas(plan), inst.d, rng, budget)
-    point, trace = _execute(
-        inst, plan, x, inst.domain.center, inst.domain.radius, cfg, iter(noise)
+    domain. Every release's noise is drawn up front in one batch, in run
+    order; the returned point is the plan's end point, projected onto
+    the domain (its centre for an empty plan)."""
+    flat = _flatten(plan)
+    sigmas = [step.sigma for step in flat.leaves if step.sigma > 0]
+    noise = release_noise(sigmas, inst.d, rng, budget)
+    iterates, consumed, exits = _execute(
+        inst, flat, x, inst.domain.center, inst.domain.radius, cfg, noise
     )
-    return SolverResult(point=point, trace=trace)
+    trace = _trace(plan, iter(iterates), iter(consumed), iter(exits[1:]))
+    return SolverResult(point=exits[0], trace=trace)
 
 
 def localization_erm(

@@ -290,19 +290,20 @@ def margin_features_per_row(d: int, n: int, margin: float, gen: np.random.Genera
 
 
 def unclipped(fn):
-    """fn with every release consuming raw gradients: ``base_solvers._releases``
-    gets its releases at an infinite clip level, while radii, noise and the
-    trace keep the planned level. The reference a clipped run is compared
-    against."""
+    """fn with every release consuming raw gradients: ``base_solvers._execute``
+    gets the run's releases at an infinite clip level, while radii, noise
+    and the trace keep the planned level. The reference a clipped run is
+    compared against."""
     from dpsco import base_solvers
 
     def run(*args, **kwargs):
-        releases = base_solvers._releases
+        execute = base_solvers._execute
 
-        def raw(inst, steps, *rest):
-            return releases(inst, tuple(replace(s, clip=math.inf) for s in steps), *rest)
+        def raw(inst, flat, *rest):
+            leaves = tuple(replace(s, clip=math.inf) for s in flat.leaves)
+            return execute(inst, flat._replace(leaves=leaves), *rest)
 
-        with mock.patch.object(base_solvers, "_releases", raw):
+        with mock.patch.object(base_solvers, "_execute", raw):
             return fn(*args, **kwargs)
     return run
 

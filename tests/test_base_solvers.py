@@ -33,7 +33,7 @@ from dpsco import (
 )
 from _oracles import gradient_descent_only, unclipped
 from dpsco import base_solvers
-from dpsco.base_solvers import Step, _closed_form_count, _releases
+from dpsco.base_solvers import Plan, Step, _closed_form_count, _execute, _flatten
 from dpsco.hardness import (
     LowerBoundSpec,
     make_lower_bound_instance,
@@ -190,9 +190,9 @@ _PHASE_INSTANCES = {
          radius=1.0, eta=0.5, clip_factor=0.3)  # clip below the ball's reach
 def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, radius, eta,
                                                 clip_factor):
-    # the executor hands its release walk raw arrays and a raw (center,
-    # radius) ball; the public solve validates, builds a Ball and runs the
-    # walk on a block of one, and the two must agree bit for bit
+    # the executor walks on raw arrays and a raw (center, radius) ball;
+    # the public solve validates, builds a Ball and runs the walk on a run
+    # of one release, and the two must agree bit for bit
     inst = _PHASE_INSTANCES[tag]
     d, (lo, hi) = inst.d, span
     x, c = np.array(center[:d]), np.array(ball_center[:d])
@@ -205,7 +205,7 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         clip = clip_factor * reach
         _, counts, pulls = fam.block_anchors(pts[None])
         accepted = _closed_form_count(fam.H, pts[None], pulls, [counts[0] == 0], c[None],
-                                      [radius], clip)
+                                      [radius], [clip])
         assert accepted == (clip_factor >= 1.0)
     else:
         clip = clip_factor
@@ -214,8 +214,8 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg,
                                        span=span, clip=clip, tolerance=1e-5)
     with _consumed_norms() as seen["raw"]:
-        raw = _releases(inst, (Step(span, None, None, clip, 0.0, eta),), x, c, radius, cfg,
-                        iter(()), 1e-5)
+        raw = _execute(inst, _flatten(Plan((Step(span, None, None, clip, 0.0, eta),))), x, c,
+                       radius, cfg, (), 1e-5)
     assert public[0].tobytes() == raw[0][0].tobytes()
     assert public[1] == raw[1][0]
     assert len(seen["public"]) == len(seen["raw"])

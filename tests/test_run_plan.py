@@ -1,7 +1,9 @@
 """Run plans: a bit-identity guard over every solver, the plan's
-independence from the noise and from the data's row order, and the
-block walk of each plan's releases against one release at a time."""
+independence from the noise and from the data's row order, the run-wide
+walk against one release at a time, and a run's freedom from reference
+cycles."""
 
+import gc
 import hashlib
 import math
 import struct
@@ -266,50 +268,78 @@ def test_a_neighbouring_dataset_gets_the_same_plan(inst, neighbour, solvers, bud
 
 
 def _one_release_at_a_time(fn):
-    """fn with every erm_plan walked one release at a time, each release a
-    block of one through ``solve_regularized_erm``: the reference the
-    block walk must equal bit for bit."""
+    """fn with every run walked one release at a time: each release is its
+    own run of one release through ``solve_regularized_erm``, and the
+    frame ops between releases go through ``_Frames``. The reference the
+    run-wide walk must equal bit for bit."""
     def run(*args, **kwargs):
-        releases = base_solvers._releases
+        execute = base_solvers._execute
 
-        def single(inst, steps, x, center, radius, cfg, noise, tolerance=None):
-            if len(steps) == 1:  # solve_regularized_erm's own block of one
-                return releases(inst, steps, x, center, radius, cfg, noise, tolerance)
-            iterates, consumed = [], []
-            for step in steps:
-                c, r = (center, radius) if step.radius is None else (x, step.radius)
-                x, used = solve_regularized_erm(
-                    inst, x, step.eta, Ball(c, r), cfg, span=step.span, clip=step.clip,
-                    tolerance=step.sigma / 100.0 if step.sigma > 0 else None,
-                )
-                if step.sigma > 0:
-                    x = x + next(noise)
-                iterates.append(x)
-                consumed.append(used)
-            return iterates, consumed
+        def single(inst, flat, x, center, radius, cfg, noise, tolerance=None):
+            frames = base_solvers._Frames(flat.frames, center, radius)
+            iterates, consumed, draws = [], [], iter(noise)
+            with mock.patch.object(base_solvers, "_execute", execute):  # each solve's own run
+                for step, f, ops in zip(flat.leaves, flat.frame, flat.pre):
+                    for op in ops:
+                        x = frames.step(op, x)
+                    c, r = ((frames.center[f], frames.radius[f]) if step.radius is None
+                            else (x, step.radius))
+                    x, used = solve_regularized_erm(
+                        inst, x, step.eta, Ball(c, r), cfg, span=step.span, clip=step.clip,
+                        tolerance=step.sigma / 100.0 if step.sigma > 0 else tolerance,
+                    )
+                    if step.sigma > 0:
+                        x = x + next(draws)
+                    iterates.append(x)
+                    consumed.append(used)
+            for op in flat.post:
+                x = frames.step(op, x)
+            return iterates, consumed, frames.exits
 
-        with mock.patch.object(base_solvers, "_releases", single):
+        with mock.patch.object(base_solvers, "_execute", single):
             return fn(*args, **kwargs)
     return run
 
 
 def _block_paths(fn):
-    """fn, also returning the block-walk paths it took: "mid-block" when a
-    release after an accepted one failed the check and the walk resumed
-    after it, "no-anchor" when a block held a release with no anchor."""
+    """fn, also returning the walk paths it took and its certification
+    windows as (releases in the run, releases checked, releases
+    accepted). Releases of one leaf block share a frame. Paths:
+    "mid-block" when a release after an accepted one of its leaf block
+    failed the check and the walk resumed within that block;
+    "no-anchor" when a checked release had no anchor; "cross-block" when
+    one accepted window spanned two or more leaf blocks and left a
+    nested ball; "resume-after-reject" when a leaf block after one with
+    a rejected release was accepted."""
     def run(*args, **kwargs):
-        count, paths = base_solvers._closed_form_count, set()
+        execute, certify = base_solvers._execute, base_solvers._certify
+        paths, windows, rejected, runs = set(), [], [], []
 
-        def spy(H, block, pulls, empty, centers, radii, clip):
-            accepted = count(H, block, pulls, empty, centers, radii, clip)
-            if 0 < accepted < len(radii) - 1:
-                paths.add("mid-block")
-            if any(empty):
+        def layout(inst, flat, *rest):
+            runs.append(flat)
+            return execute(inst, flat, *rest)
+
+        def spy(anchors, i, centers, bests):
+            accepted, used = certify(anchors, i, centers, bests)
+            flat, checked = runs[-1], len(centers)
+            windows.append((len(flat.leaves), checked, accepted))
+            frame, r = flat.frame, i + accepted
+            if any(anchors.empty[i:i + checked]):
                 paths.add("no-anchor")
-            return accepted
+            if accepted and rejected and frame[r - 1] > frame[rejected[0]]:
+                paths.add("resume-after-reject")
+            exits = any(op < 0 for m in range(i + 1, r) for op in flat.pre[m])
+            if accepted and frame[r - 1] > frame[i] and exits:
+                paths.add("cross-block")
+            if accepted < checked:
+                rejected.append(r)
+                if accepted and r + 1 < len(frame) and frame[r - 1] == frame[r] == frame[r + 1]:
+                    paths.add("mid-block")
+            return accepted, used
 
-        with mock.patch.object(base_solvers, "_closed_form_count", spy):
-            return fn(*args, **kwargs), paths
+        with mock.patch.object(base_solvers, "_execute", layout), \
+                mock.patch.object(base_solvers, "_certify", spy):
+            return fn(*args, **kwargs), paths, windows
     return run
 
 
@@ -341,12 +371,48 @@ def _trace_digest(res) -> str:
          expect="mid-block")
 # the indicator's first 256 rows are off, so the first releases have no anchor (k = 0)
 @example(tag="ind", budget="pure", solver="erm", clip_factor=1.0, seed=0, expect="no-anchor")
+# no release fails: the one window spans every leaf block and the nested balls' exits
+@example(tag="quad", budget="pure", solver="growth", clip_factor=1.0, seed=0,
+         expect="cross-block")
+# a release fails the check in one leaf block and the windows after it accept later blocks
+@example(tag="noisy", budget="pure", solver="adaptive", clip_factor=1.0, seed=0,
+         expect="resume-after-reject")
 def test_block_walk_equals_one_release_at_a_time(tag, budget, solver, clip_factor, seed, expect):
     inst = _EQ_INSTANCES[tag]
     args = (_SOLVERS[solver], inst, clip_factor * inst.constants.L)
-    block, paths = _block_paths(lipschitz_wrap)(*args, RngStream(seed, 1), _EQ_BUDGETS[budget])
+    block, paths, windows = _block_paths(lipschitz_wrap)(*args, RngStream(seed, 1),
+                                                         _EQ_BUDGETS[budget])
     single = _one_release_at_a_time(lipschitz_wrap)(*args, RngStream(seed, 1),
                                                    _EQ_BUDGETS[budget])
     # point, every EpochRecord (iterates included) and max_consumed_gradient
     assert _trace_digest(block) == _trace_digest(single)
     assert expect is None or expect in paths
+    # speculation stays bounded: at most 3R releases checked over R, and
+    # without a rejection at most ceil(log2 R) + 1 windows
+    if windows:
+        releases = windows[0][0]
+        assert sum(checked for _, checked, _ in windows) <= 3 * releases
+        if all(accepted == checked for _, checked, accepted in windows):
+            assert len(windows) <= math.ceil(math.log2(releases)) + 1
+
+
+def test_a_run_leaves_no_reference_cycle():
+    # a cycle through a run's state keeps its arrays alive until a full
+    # collection, which shows as peak memory; without one every array is
+    # freed by reference counting when the run returns
+    quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
+    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
+    hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
+    runs = [(_SOLVERS[solver], inst) for inst in (quad, ind) for solver in sorted(_SOLVERS)]
+    runs += [(_SOLVERS[solver], hinge) for solver in ("erm", "growth")]
+    c = np.full(2, 0.1)
+    gc.collect()
+    gc.disable()
+    try:
+        for run, inst in runs:
+            run(inst, RngStream(0, 1), PURE)
+        for inst in (quad, ind, hinge):
+            solve_regularized_erm(inst, c, 0.5, Ball(c, 0.4), CFG, span=(5, 90), clip=0.7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
