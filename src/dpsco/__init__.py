@@ -96,7 +96,6 @@ from .mechanisms import (
 )
 from .problems import (
     Dataset,
-    EpochRecord,
     Instance,
     LossConstants,
     Optimum,

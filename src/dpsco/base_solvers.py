@@ -6,8 +6,8 @@ step and noise scale follow from n, the schedule, the budget and the
 declared constants alone, never from the iterates or the noise drawn.
 Each step recentres a ball on the current iterate (or keeps the
 enclosing domain), then either solves its phase and adds noise or runs
-its nested plan inside that ball and projects back onto it, and writes
-its ``EpochRecord``. Innermost first:
+its nested plan inside that ball and projects back onto it. The run's
+trace records the plan's own steps. Innermost first:
 
 * ``solve_regularized_erm``: one phase. Minimize the span-average loss
   plus ``(1/(eta n0)) ||x - center||^2`` over a ball. Closed form whenever
@@ -52,12 +52,12 @@ at most ``_SEGMENT_ROWS`` rows (``_certify``), and solves the first
 release that fails the check by the one gradient-descent loop
 (``_phase``) before it resumes. The first window is the whole run;
 after a rejection a window is one release, doubling after each fully
-accepted one. ``_trace`` then writes every step's record from the
-walk's iterates. The noise of a whole run is drawn before its first
-phase, in one ``release_noise`` batch over the releases with sigma > 0
-in run order. That batch equals the per-release draws bit for bit, but
-a caller-supplied ``Generator`` advances by the whole run's draw even
-when a phase raises.
+accepted one. ``_trace`` then pairs the plan's steps with the walk's
+iterates, building no object per step. The noise of a whole run is
+drawn before its first phase, in one ``release_noise`` batch over the
+releases with a positive noise scale, in run order. That batch equals
+the per-release draws bit for bit, but a caller-supplied ``Generator``
+advances by the whole run's draw even when a phase raises.
 
 A solver runs on its whole instance: all n samples, the instance's
 domain and its declared Lipschitz level. To run on a sub-span, inside a
@@ -81,7 +81,7 @@ from .geometry import (
 )
 from .losses import _row_norms, clip_gradients
 from .mechanisms import noise_scale, release_noise
-from .problems import EpochRecord, Instance, PrivacyBudget, RunTrace
+from .problems import Instance, PrivacyBudget, RunTrace
 
 
 class ConvergenceError(RuntimeError):
@@ -223,17 +223,17 @@ class _Anchors:
     def __init__(self, inst, leaves, radii):
         fam = inst.family
         self.family, self.points, self.radii = fam, inst.dataset.points, radii
-        self.clips = [step.clip for step in leaves]
+        self.clips = [step.lipschitz for step in leaves]
         self.segments, self.segment = [], []
         pull, self.regs, self.dens, self.empty = [], [], [], []
         first = 0
         while first < len(leaves):
-            lo, hi = leaves[first].span
+            lo, hi = leaves[first].samples
             n0, end = hi - lo, first + 1
             last = min(len(leaves), first + max(1, _SEGMENT_ROWS // n0))
-            while end < last and leaves[end].span[1] - leaves[end].span[0] == n0:
+            while end < last and leaves[end].samples[1] - leaves[end].samples[0] == n0:
                 end += 1
-            starts = np.array([step.span[0] for step in leaves[first:end]])
+            starts = np.array([step.samples[0] for step in leaves[first:end]])
             means, counts, pulls = fam.block_anchors(self.rows(starts, n0))
             # not fam.weight(k, n0): with k == n0, H * k / n0 can differ from H
             # in the last bit, and this rounding is part of every recorded run
@@ -307,8 +307,9 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
     A release with ``radius`` None solves in the ball of its frame (the
     innermost nested plan around it); otherwise in the ball of its radius
     around the current iterate. ``noise`` holds the pre-drawn rows of
-    the releases with sigma > 0, one per release in run order; a release
-    with sigma 0 runs gradient descent to ``tolerance`` (or ``cfg``'s).
+    the releases with a positive noise scale, one per release in run
+    order; a release with noise scale 0 runs gradient descent to
+    ``tolerance`` (or ``cfg``'s).
 
     On an anchor family the releases are walked in windows. From the
     current iterate the walk chains each release's closed form
@@ -330,7 +331,7 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
     frames = _Frames(flat.frames, center, radius)
     total = len(leaves)
     draw = iter(range(len(noise)))
-    row_of = [next(draw) if step.sigma > 0 else None for step in leaves]
+    row_of = [next(draw) if step.noise_scale > 0 else None for step in leaves]
     radii = [frames.radius[f] if step.radius is None else step.radius
              for step, f in zip(leaves, frame)]
     iterates, consumed = [None] * total, [None] * total
@@ -366,8 +367,9 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
                 x = frames.step(op, x)
             c = frames.center[frame[i]] if leaves[i].radius is None else x
         step = leaves[i]
-        tol = step.sigma / 100.0 if step.sigma > 0 else tolerance
-        x, consumed[i] = _phase(inst, x, step.eta, c, radii[i], cfg, *step.span, step.clip, tol)
+        tol = step.noise_scale / 100.0 if step.noise_scale > 0 else tolerance
+        x, consumed[i] = _phase(inst, x, step.eta, c, radii[i], cfg, *step.samples,
+                                step.lipschitz, tol)
         if row_of[i] is not None:
             x = x + noise[row_of[i]]
         iterates[i] = x
@@ -409,22 +411,23 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
 
 @dataclass(frozen=True)
 class Step:
-    """One entry of a run plan.
+    """One entry of a run plan, and its record in the run's trace.
 
-    A release (``sub`` None) solves the regularized ERM on ``span`` with
-    step ``eta`` in a ball of ``radius`` around the current iterate,
-    clipping gradients at ``clip``, and adds noise of scale ``sigma``
-    calibrated at that level.
-    Otherwise the step runs the nested plan ``sub`` in that ball.
+    A release (``sub`` None) solves the regularized ERM on the sample
+    span ``samples`` with step ``eta`` in a ball of ``radius`` around the
+    current iterate, clipping gradients at ``lipschitz``, and adds noise
+    of scale ``noise_scale`` calibrated at that level. Otherwise the step
+    runs the nested plan ``sub`` in that ball; its ``noise_scale`` is its
+    plan's last release's (``_nested``) and its ``eta`` is 0.0.
     ``radius`` None keeps the enclosing domain; ``diameter`` is what the
-    step's EpochRecord reports, and None writes no record.
+    step's record reports, and None writes no record.
     """
 
-    span: tuple[int, int]
+    samples: tuple[int, int]
     radius: float | None
     diameter: float | None
-    clip: float
-    sigma: float
+    lipschitz: float
+    noise_scale: float
     eta: float = 0.0
     sub: Plan | None = None
 
@@ -438,10 +441,10 @@ class Plan:
     note: str = ""
 
 
-def _nested(span: tuple[int, int], radius, diameter, clip: float, sub: Plan) -> Step:
+def _nested(samples: tuple[int, int], radius, diameter, lipschitz: float, sub: Plan) -> Step:
     """A step running ``sub``; its record reports the last release's noise."""
-    sigma = sub.steps[-1].sigma if sub.steps else 0.0
-    return Step(span, radius, diameter, clip, sigma, sub=sub)
+    sigma = sub.steps[-1].noise_scale if sub.steps else 0.0
+    return Step(samples, radius, diameter, lipschitz, sigma, sub=sub)
 
 
 def erm_plan(lo: int, hi: int, eta: float, clipL: float, d: int, budget: PrivacyBudget) -> Plan:
@@ -571,24 +574,21 @@ def _trace(plan: Plan, iterates, consumed, exits) -> RunTrace:
     ``iterates`` and ``consumed`` yield each release's iterate and
     largest consumed norm in run order, ``exits`` each nested plan's end
     point in run order; a nested step records its plan's end point and
-    largest consumed norm."""
+    largest consumed norm. The records are the plan's own steps, and a
+    plan records all its steps (their diameters are set) or none."""
     if plan.steps and plan.steps[0].sub is None:
         k = len(plan.steps)
-        points, used, children = list(islice(iterates, k)), list(islice(consumed, k)), ()
+        points, used, children = tuple(islice(iterates, k)), list(islice(consumed, k)), ()
     else:
         points, used, children = [], [], []
         for step in plan.steps:
             points.append(next(exits))
-            child = _trace(step.sub, iterates, consumed, exits)
-            children.append(child)
-            used.append(child.max_consumed_gradient)
-        children = tuple(children)
-    records = tuple(
-        EpochRecord(index, step.diameter, step.clip, it, step.sigma, step.span)
-        for index, (step, it) in enumerate(zip(plan.steps, points), start=1)
-        if step.diameter is not None
-    )
-    return RunTrace(records, plan.dropped, children, max([0.0, *used]), plan.note)
+            children.append(_trace(step.sub, iterates, consumed, exits))
+            used.append(children[-1].max_consumed_gradient)
+        points, children = tuple(points), tuple(children)
+    if plan.steps and plan.steps[0].diameter is None:
+        return RunTrace((), (), plan.dropped, children, max([0.0, *used]), plan.note)
+    return RunTrace(plan.steps, points, plan.dropped, children, max([0.0, *used]), plan.note)
 
 
 def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:
@@ -597,7 +597,7 @@ def _run(inst, plan, x, budget, cfg, rng) -> SolverResult:
     order; the returned point is the plan's end point, projected onto
     the domain (its centre for an empty plan)."""
     flat = _flatten(plan)
-    sigmas = [step.sigma for step in flat.leaves if step.sigma > 0]
+    sigmas = [step.noise_scale for step in flat.leaves if step.noise_scale > 0]
     noise = release_noise(sigmas, inst.d, rng, budget)
     iterates, consumed, exits = _execute(
         inst, flat, x, inst.domain.center, inst.domain.radius, cfg, noise

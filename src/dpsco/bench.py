@@ -312,11 +312,11 @@ def _run_solver(cfg: ExperimentConfig, inst: Instance, n: int, gen):
     if cfg.solver in _LOCALIZING:
         half = n // 2 if cfg.solver == "adaptive" else n
         sched = resolve_schedule(cfg, inst, half)
-        runner = {
-            "interpolation": interpolation_localization,
-            "adaptive": adaptive_solver,
-        }[cfg.solver]
-        result = runner(inst, x0, sched, budget, icfg, gen, inner_epochs=cfg.inner_epochs)
+        args = (inst, x0, sched, budget, icfg, gen)
+        if cfg.solver == "adaptive":
+            result = adaptive_solver(*args, inner_epochs=cfg.inner_epochs)
+        else:
+            result = interpolation_localization(*args, inner_epochs=cfg.inner_epochs)
         return result, (sched.T, sched.m, sched.beta)
     beta = cfg.beta if cfg.beta is not None else float(n) ** (-cfg.mu)
     if cfg.solver == "epoch-growth":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 
 from .bench import (
     coerce_mapping,
@@ -28,7 +29,8 @@ from .interpolation import ScheduleInfeasibleError, sample_complexity
 from .mechanisms import InconclusiveAuditError, RngStream
 from .problems import PrivacyBudget
 
-_AUDIT_KEYS = {"eps": float, "n": int, "trials": int, "threshold": float}
+_AUDIT_HINTS = typing.get_type_hints(run_audit)
+_AUDIT_KEYS = {key: _AUDIT_HINTS[key] for key in ("eps", "n", "trials", "threshold")}
 _COMPLEXITY_DEFAULTS = {"alpha": 0.1, "rho": 2.0, "d": 1, "eps": 1.0, "delta": 0.0}
 
 

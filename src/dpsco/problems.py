@@ -4,13 +4,15 @@ An :class:`Instance` bundles a loss family, an ordered dataset, a domain
 ball, and the declared analytic constants. Constants are *declared*, not
 derived: generators in :mod:`dpsco.hardness` set honest values, and every
 instance with a known optimum is checked to have zero excess risk there
-at construction time.
+at construction time. A :class:`RunTrace` records the steps of the run
+plan a solver walked, with each recorded step's end point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .geometry import (
     Ball, Vector, _check_count, _check_positive, _check_probability, as_point, project_onto_ball,
 )
 from .losses import FAMILIES, LossFamily, batch_gradients, batch_values
+
+if TYPE_CHECKING:
+    from .base_solvers import Step
 
 
 class UnsupportedFamilyError(ValueError):
@@ -243,24 +248,14 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    """One epoch of a localization run: geometry, clip level, output, noise."""
-
-    index: int
-    diameter: float
-    lipschitz: float
-    iterate: Vector
-    noise_scale: float
-    samples: tuple[int, int]  # half-open index range consumed
-
-
-@dataclass(frozen=True)
 class RunTrace:
-    """Audit trail of a solver run."""
+    """Audit trail of a solver run: the plan's own steps that write a
+    record (``base_solvers.Step``), each one's end point in ``iterates``,
+    and one trace per nested plan in ``children``."""
 
-    epochs: tuple[EpochRecord, ...]
+    epochs: tuple[Step, ...]
+    iterates: tuple[Vector, ...]
     dropped: int = 0
     children: tuple["RunTrace", ...] = ()
     max_consumed_gradient: float = 0.0
     note: str = ""
-

@@ -300,7 +300,7 @@ def unclipped(fn):
         execute = base_solvers._execute
 
         def raw(inst, flat, *rest):
-            leaves = tuple(replace(s, clip=math.inf) for s in flat.leaves)
+            leaves = tuple(replace(s, lipschitz=math.inf) for s in flat.leaves)
             return execute(inst, flat._replace(leaves=leaves), *rest)
 
         with mock.patch.object(base_solvers, "_execute", raw):

@@ -162,7 +162,7 @@ def test_criterion_03_extension_oracle_equivalence():
 
 
 def _leaf_iterates(trace):
-    out = [rec.iterate for rec in trace.epochs]
+    out = list(trace.iterates)
     for child in trace.children:
         out.extend(_leaf_iterates(child))
     return out
@@ -310,14 +310,14 @@ def test_criterion_09_noise_calibration():
     x0 = inst.domain.center.copy()
     pure = localization_erm(inst, x0, eta, BUDGET, CFG, RngStream(3, 0))
     pure_exact = all(
-        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, BUDGET)
-        for rec in pure.trace.epochs
+        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * index), 2, BUDGET)
+        for index, rec in enumerate(pure.trace.epochs, start=1)
     )
     gauss_budget = PrivacyBudget(1.0, 1e-6)
     gauss = localization_erm(inst, x0, eta, gauss_budget, CFG, RngStream(3, 0))
     gauss_exact = all(
-        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * rec.index), 2, gauss_budget)
-        for rec in gauss.trace.epochs
+        rec.noise_scale == noise_scale(L, eta * 2.0 ** (-4 * index), 2, gauss_budget)
+        for index, rec in enumerate(gauss.trace.epochs, start=1)
     )
     lap = release_noise([2.0], 1_000_000, RngStream(11, 0), BUDGET)[0]
     lap_err = abs(float(lap.std()) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
@@ -377,7 +377,7 @@ def test_criterion_11_certificates_and_containment():
             inst, np.zeros(2), sched, BUDGET, CFG, RngStream(seed, stream=7),
             inner_epochs=1,
         )
-        centers = [np.zeros(2)] + [ep.iterate for ep in res.trace.epochs[:-1]]
+        centers = [np.zeros(2), *res.trace.iterates[:-1]]
         if all(
             Ball(c, ep.diameter / 2.0).contains(xstar)
             for c, ep in zip(centers, res.trace.epochs)

@@ -237,7 +237,7 @@ def test_localization_noise_scales_match_the_stated_formula():
     assert res.trace.dropped == n - k * n0
     for i, rec in enumerate(res.trace.epochs, start=1):
         eta_i = eta * 2.0 ** (-4 * i)
-        assert rec.index == i
+        assert rec.eta == eta_i
         assert rec.noise_scale == 4.0 * clipL * eta_i * math.sqrt(d) / PURE.eps
         assert rec.diameter == 4.0 * clipL * eta_i * n0
         assert rec.lipschitz == clipL
@@ -405,8 +405,8 @@ def test_wrapper_with_slack_clip_is_bitwise_identical():
     assert np.array_equal(wrapped.point, plain.point)
     assert excess_risk(inst, wrapped.point) == excess_risk(inst, plain.point)
     for ca, cb in zip(wrapped.trace.children, plain.trace.children):
-        for pa, pb in zip(ca.epochs, cb.epochs):
-            assert np.array_equal(pa.iterate, pb.iterate)
+        for pa, pb in zip(ca.iterates, cb.iterates):
+            assert np.array_equal(pa, pb)
 
 
 def test_wrapper_with_tight_clip_caps_every_consumed_gradient():

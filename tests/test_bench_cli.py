@@ -516,6 +516,9 @@ def test_cli_audit_passes_and_control_catches(capsys):
     out = capsys.readouterr().out
     assert "ok audit-calibrated eps_hat=1.3533502054005366" in out
     assert "ok audit-control eps_hat=2.772588722239781" in out
+    # "none" picks the default threshold, as run_audit's annotation admits
+    assert main(["audit", "--set", "threshold=none"]) == 0
+    assert capsys.readouterr().out == out
     # an absurd threshold makes the control miss its target: exit 1
     assert main(["audit", "--set", "threshold=10.0"]) == 1
     out = capsys.readouterr().out

@@ -209,7 +209,7 @@ def test_localization_without_privacy_noise_descends_monotonically():
             inst, x0, sched, FREE, CFG, RngStream(seed, 10), inner_epochs=1
         )
         vals = [excess_risk(inst, x0)] + [
-            excess_risk(inst, rec.iterate) for rec in res.trace.epochs
+            excess_risk(inst, iterate) for iterate in res.trace.iterates
         ]
         monotone += all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(vals, vals[1:]))
     assert monotone >= 180  # at least 90% of 200 runs

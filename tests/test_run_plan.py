@@ -1,7 +1,7 @@
 """Run plans: a bit-identity guard over every solver, the plan's
 independence from the noise and from the data's row order, the run-wide
-walk against one release at a time, and a run's freedom from reference
-cycles."""
+walk against one release at a time, a trace that records the plan's own
+steps, and a run's freedom from reference cycles."""
 
 import gc
 import hashlib
@@ -54,10 +54,10 @@ def _feed_trace(h, trace) -> None:
     h.update(struct.pack("<qqqd", trace.dropped, len(trace.epochs), len(trace.children),
                          trace.max_consumed_gradient))
     h.update(trace.note.encode() + b"\0")
-    for rec in trace.epochs:
-        h.update(struct.pack("<qdddqq", rec.index, rec.diameter, rec.lipschitz,
+    for index, (rec, iterate) in enumerate(zip(trace.epochs, trace.iterates), start=1):
+        h.update(struct.pack("<qdddqq", index, rec.diameter, rec.lipschitz,
                              rec.noise_scale, *rec.samples))
-        h.update(np.asarray(rec.iterate, dtype=np.float64).tobytes())
+        h.update(np.asarray(iterate, dtype=np.float64).tobytes())
     for child in trace.children:
         _feed_trace(h, child)
 
@@ -267,6 +267,48 @@ def test_a_neighbouring_dataset_gets_the_same_plan(inst, neighbour, solvers, bud
         assert plan == other, solver
 
 
+def _every_solver_run():
+    """(solver, instance) for every ``_SOLVERS`` entry on the quadratic and
+    indicator instances, and the two that accept the hinge on it."""
+    quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
+    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
+    hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
+    runs = [(solver, inst) for inst in (quad, ind) for solver in sorted(_SOLVERS)]
+    return runs + [(solver, hinge) for solver in ("erm", "growth")]
+
+
+def _same_steps(trace, plan, solver) -> None:
+    """Require ``trace`` to record ``plan``'s own steps, recursively."""
+    recorded = [step for step in plan.steps if step.diameter is not None]
+    assert len(trace.epochs) == len(recorded), solver
+    assert all(rec is step for rec, step in zip(trace.epochs, recorded)), solver
+    assert len(trace.iterates) == len(trace.epochs), solver
+    nested = [step.sub for step in plan.steps if step.sub is not None]
+    assert len(trace.children) == len(nested), solver
+    for child, sub in zip(trace.children, nested):
+        _same_steps(child, sub, solver)
+
+
+def test_a_trace_records_the_plans_own_steps():
+    # the trace keeps the plan's steps themselves, not a copy of their fields
+    runs = _every_solver_run()
+    plans = []
+    run_base, run_interp = base_solvers._run, interpolation._run
+
+    def recording(run):
+        def record(inst, plan, *rest):
+            plans.append(plan)
+            return run(inst, plan, *rest)
+        return record
+
+    with mock.patch.object(base_solvers, "_run", recording(run_base)), \
+            mock.patch.object(interpolation, "_run", recording(run_interp)):
+        for solver, inst in runs:
+            trace = _SOLVERS[solver](inst, RngStream(0, 1), PURE).trace
+            _same_steps(trace, plans[-1], solver)
+    assert len(plans) == len(runs)
+
+
 def _one_release_at_a_time(fn):
     """fn with every run walked one release at a time: each release is its
     own run of one release through ``solve_regularized_erm``, and the
@@ -285,10 +327,11 @@ def _one_release_at_a_time(fn):
                     c, r = ((frames.center[f], frames.radius[f]) if step.radius is None
                             else (x, step.radius))
                     x, used = solve_regularized_erm(
-                        inst, x, step.eta, Ball(c, r), cfg, span=step.span, clip=step.clip,
-                        tolerance=step.sigma / 100.0 if step.sigma > 0 else tolerance,
+                        inst, x, step.eta, Ball(c, r), cfg, span=step.samples,
+                        clip=step.lipschitz,
+                        tolerance=step.noise_scale / 100.0 if step.noise_scale > 0 else tolerance,
                     )
-                    if step.sigma > 0:
+                    if step.noise_scale > 0:
                         x = x + next(draws)
                     iterates.append(x)
                     consumed.append(used)
@@ -384,7 +427,7 @@ def test_block_walk_equals_one_release_at_a_time(tag, budget, solver, clip_facto
                                                          _EQ_BUDGETS[budget])
     single = _one_release_at_a_time(lipschitz_wrap)(*args, RngStream(seed, 1),
                                                    _EQ_BUDGETS[budget])
-    # point, every EpochRecord (iterates included) and max_consumed_gradient
+    # point, every record and iterate of the trace, and max_consumed_gradient
     assert _trace_digest(block) == _trace_digest(single)
     assert expect is None or expect in paths
     # speculation stays bounded: at most 3R releases checked over R, and
@@ -400,18 +443,14 @@ def test_a_run_leaves_no_reference_cycle():
     # a cycle through a run's state keeps its arrays alive until a full
     # collection, which shows as peak memory; without one every array is
     # freed by reference counting when the run returns
-    quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
-    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
-    hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
-    runs = [(_SOLVERS[solver], inst) for inst in (quad, ind) for solver in sorted(_SOLVERS)]
-    runs += [(_SOLVERS[solver], hinge) for solver in ("erm", "growth")]
+    runs = _every_solver_run()
     c = np.full(2, 0.1)
     gc.collect()
     gc.disable()
     try:
-        for run, inst in runs:
-            run(inst, RngStream(0, 1), PURE)
-        for inst in (quad, ind, hinge):
+        for solver, inst in runs:
+            _SOLVERS[solver](inst, RngStream(0, 1), PURE)
+        for inst in dict.fromkeys(inst for _, inst in runs):
             solve_regularized_erm(inst, c, 0.5, Ball(c, 0.4), CFG, span=(5, 90), clip=0.7)
         assert gc.collect() == 0
     finally:

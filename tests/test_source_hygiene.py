@@ -41,10 +41,6 @@ SETTABLE_TEST_ONLY_ALLOWED = {
     # only with a change to the benchmark
     "InnerSolveConfig.tolerance": "waits for one solver signature (ROADMAP direction 3)",
     "InnerSolveConfig.max_iterations": "waits for one solver signature (ROADMAP direction 3)",
-    # bench._run_solver passes them through a dispatch dict this census
-    # cannot follow
-    "adaptive_solver.inner_epochs": "set by the sweep's inner_epochs key",
-    "interpolation_localization.inner_epochs": "set by the sweep's inner_epochs key",
 }
 
 
