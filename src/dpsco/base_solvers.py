@@ -385,20 +385,23 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
     so this contracts linearly."""
     pts = inst.dataset.points[lo:hi]
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
-    reg = 2.0 / (eta * (hi - lo))  # gradient coefficient of the proximal term
+    n0 = hi - lo
+    reg = 2.0 / (eta * n0)  # gradient coefficient of the proximal term
     tol = cfg.tolerance if tolerance is None else max(tolerance, cfg.tolerance)
     fam = inst.family
     step = 1.0 / (inst.constants.H + reg)
     x = _project(center, ball_center, radius)
     max_consumed = 0.0
     move = math.inf
+    # mean, max and norm written as the reductions numpy's own wrappers run,
+    # bit for bit, without the wrappers
     for _ in range(cfg.max_iterations):
         grads, norms = clip_gradients(fam.gradients(x, pts, labels), clip)
-        if norms.size:
-            max_consumed = max(max_consumed, float(norms.max()))
-        g = grads.mean(axis=0) + reg * (x - center)
+        max_consumed = max(max_consumed, float(np.maximum.reduce(norms)))
+        g = np.add.reduce(grads, axis=0) / n0 + reg * (x - center)
         x_next = _project(x - step * g, ball_center, radius)
-        move = float(np.linalg.norm(x - x_next)) / step
+        diff = x - x_next
+        move = math.sqrt(diff.dot(diff)) / step
         x = x_next
         if move <= tol:
             return x, max_consumed

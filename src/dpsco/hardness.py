@@ -174,9 +174,10 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     sample loss at zero.
 
     Features are drawn by rejection in batches: each pass draws exactly
-    the number of rows still needed and keeps those that pass. No row is
-    drawn that a one-row-at-a-time loop would not draw, so the points,
-    labels and the generator's final state equal that loop's bit for bit.
+    the number of rows still needed and writes those that pass into the
+    next free rows of the output. No row is drawn that a one-row-at-a-time
+    loop would not draw, so the points, labels and the generator's final
+    state equal that loop's bit for bit.
     """
     _check_count("d", d)
     _check_count("n", n)
@@ -186,24 +187,28 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     direction /= np.linalg.norm(direction)
     witness = 2.0 * margin * math.sqrt(d) * direction
     bound = 1.5 * margin
-    rows = []
-    labels = []
+    points = np.empty((n, d))
+    labels = np.empty(n)
     have = 0
     while have < n:
         a = gen.standard_normal((n - have, d))
         norms = np.sqrt(_row_dots(a, a))
         drawn = norms >= 1e-12
-        a = a[drawn] / norms[drawn, None]
+        if not drawn.all():  # a near-zero row has no direction; skip it
+            a, norms = a[drawn], norms[drawn]
+        a /= norms[:, None]
         score = _row_dots(a, witness)
-        keep = np.abs(score) >= bound  # the rest lie too close to the boundary
-        rows.append(a[keep])
-        labels.append(np.where(score[keep] > 0, 1.0, -1.0))
-        have += rows[-1].shape[0]
+        keep = np.flatnonzero(np.abs(score) >= bound)  # the rest lie too close to the boundary
+        end = have + keep.size
+        np.take(a, keep, axis=0, out=points[have:end])
+        lab = np.take(score, keep, out=labels[have:end])
+        np.sign(lab, out=lab)  # |score| >= bound > 0, so its sign is the label
+        have = end
     family = SmoothedHingeMargin(margin)
     H = 1.0 / family.tau  # max ||a||^2 / tau at unit-norm features
     inst = Instance(
         family=family,
-        dataset=Dataset(np.concatenate(rows), np.concatenate(labels)),
+        dataset=Dataset(points, labels),
         domain=Ball(np.zeros(d), 2.0 * float(np.linalg.norm(witness))),
         constants=LossConstants(L=1.0, H=H, growth=0.0, kappa=2.0),
         optimum=Optimum(witness),

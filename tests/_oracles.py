@@ -286,6 +286,65 @@ def margin_features_per_row(d: int, n: int, margin: float, gen: np.random.Genera
     return np.array(rows), np.array(labels), witness
 
 
+# -- gradient-descent reference ---------------------------------------------------
+
+
+def quad_gradients(H: float, points: np.ndarray):
+    """x -> the (n, d) per-sample gradients H (x - s) of the quadratic anchor loss."""
+    return lambda x: H * (x - points)
+
+
+def hinge_gradients(margin: float, tau: float, points: np.ndarray, labels: np.ndarray):
+    """x -> the (n, d) per-sample gradients of psi(margin - label <s, x>),
+    psi the tau-smoothed hinge: slope clamp(u / tau, 0, 1) along -label s."""
+
+    def grads(x: np.ndarray) -> np.ndarray:
+        u = margin - labels * (points @ x)
+        return (-np.clip(u / tau, 0.0, 1.0) * labels)[:, None] * points
+
+    return grads
+
+
+def ball_projection(y, center, radius):
+    """The point of the ball (center, radius) nearest to y."""
+    offset = y - center
+    dist = np.linalg.norm(offset)
+    return y.copy() if dist <= radius else center + offset * (radius / dist)
+
+
+def projected_gradient_descent(gradients, center, eta, H, ball_center, radius, clip, tol,
+                               max_iterations=100_000):
+    """(x, largest consumed norm) of projected gradient descent on the
+    mean loss + (1 / (eta n0)) ||x - center||^2 over the ball (ball_center,
+    radius), from the projection of center, at step 1 / (H + 2 / (eta n0)).
+
+    Every per-sample gradient with norm above ``clip`` is scaled back onto
+    the clip sphere and its consumed norm recomputed. The loop stops once
+    ||x - x_next|| / step <= tol. Written in the plainest numpy forms
+    (``mean``, ``np.linalg.norm``), the loop a gradient-descent phase of
+    regularized ERM must equal bit for bit.
+    """
+    x = ball_projection(center, ball_center, radius)
+    used = 0.0
+    for _ in range(max_iterations):
+        grads = gradients(x)
+        norms = np.linalg.norm(grads, axis=1)
+        over = norms > clip
+        if over.any():
+            grads[over] *= (clip / norms[over])[:, None]
+            norms[over] = np.linalg.norm(grads[over], axis=1)
+        used = max(used, float(norms.max()))
+        reg = 2.0 / (eta * grads.shape[0])
+        step = 1.0 / (H + reg)
+        x_next = ball_projection(x - step * (grads.mean(axis=0) + reg * (x - center)),
+                                 ball_center, radius)
+        move = float(np.linalg.norm(x - x_next)) / step
+        x = x_next
+        if move <= tol:
+            return x, used
+    raise AssertionError(f"no convergence to {tol} in {max_iterations} iterations")
+
+
 # -- fakes over the library -------------------------------------------------------
 
 

@@ -31,7 +31,10 @@ from dpsco import (
     localization_erm,
     solve_regularized_erm,
 )
-from _oracles import gradient_descent_only, unclipped
+from _oracles import (
+    ball_projection, gradient_descent_only, hinge_gradients, projected_gradient_descent,
+    quad_gradients, unclipped,
+)
 from dpsco import base_solvers
 from dpsco.base_solvers import Plan, Step, _closed_form_count, _execute, _flatten
 from dpsco.hardness import (
@@ -220,6 +223,54 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
     assert public[1] == raw[1][0]
     assert len(seen["public"]) == len(seen["raw"])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen["public"], seen["raw"]))
+
+
+# 300 samples each at hinge-sweep's d = 8, the hinge at a margin whose tau = 0.2
+# is no power of two (so u / tau rounds); the quadratic runs with its
+# closed form refused
+_GD_INSTANCES = {
+    "hinge": make_margin_classification(8, 300, 0.4, RngStream(3, 0)),
+    "quad": make_noisy_least_squares(8, 300, [0.5] + [0.0] * 7, 1.0, 0.3, RngStream(4, 0)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    tag=st.sampled_from(sorted(_GD_INSTANCES)),
+    span=st.tuples(st.integers(0, 299), st.integers(1, 300)).filter(lambda s: s[0] < s[1]),
+    center=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    ball_center=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    radius=st.floats(0.0, 2.0),
+    eta=st.floats(1e-3, 0.2),
+    clip_factor=st.one_of(st.just(math.inf), st.just(1.0), st.floats(0.05, 0.95)),
+)
+@example(tag="quad", span=(0, 300), center=[0.9] * 8, ball_center=[-0.5] + [0.0] * 7,
+         radius=1.0, eta=0.1, clip_factor=0.3)  # clips throughout
+def test_gradient_descent_phase_equals_the_plain_loop(tag, span, center, ball_center, radius,
+                                                      eta, clip_factor):
+    # a phase takes its mean, largest norm and move as the bare reductions
+    # under numpy's wrappers, and the hinge clamps its slope with bare
+    # ufuncs; the plain loop in the wrappers' own forms must give the same
+    # point and consumed norm, bit for bit
+    inst = _GD_INSTANCES[tag]
+    (lo, hi), fam = span, inst.family
+    x, c, pts = np.array(center), np.array(ball_center), inst.dataset.points[lo:hi]
+    if tag == "hinge":
+        grads = hinge_gradients(fam.margin, fam.tau, pts, inst.dataset.labels[lo:hi])
+        clip = clip_factor  # a hinge gradient's norm is at most 1 on unit features
+        solve = solve_regularized_erm
+    else:
+        grads = quad_gradients(fam.H, pts)
+        # a fraction of the largest gradient at the start binds at once
+        start = ball_projection(x, c, radius)
+        clip = clip_factor * float(np.linalg.norm(grads(start), axis=1).max())
+        solve = gradient_descent_only(solve_regularized_erm)
+    point, used = solve(inst, x, eta, Ball(c, radius), InnerSolveConfig(tolerance=1e-7),
+                        span=span, clip=clip, tolerance=1e-5)
+    ref, ref_used = projected_gradient_descent(grads, x, eta, inst.constants.H, c, radius,
+                                               clip, 1e-5)
+    assert point.tobytes() == ref.tobytes()
+    assert used == ref_used
 
 
 # ------------------------------------------------------------- localization

@@ -119,7 +119,10 @@ def test_margin_classification_witness_is_slack():
 
 
 def _assert_matches_per_row_draw(d, n, margin, seed):
-    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    _assert_draws_match(d, n, margin, np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+def _assert_draws_match(d, n, margin, gen, ref_gen):
     inst = make_margin_classification(d, n, margin, gen)
     points, labels, witness = _oracles.margin_features_per_row(d, n, margin, ref_gen)
     assert inst.dataset.points.shape == points.shape
@@ -145,6 +148,45 @@ def test_margin_batched_draw_equals_per_row_draw(d, n, margin, seed):
 
 def test_margin_batched_draw_equals_per_row_draw_at_benchmark_shape():
     _assert_matches_per_row_draw(8, 16384, 0.25, 7)
+
+
+class _ShrunkRows(np.random.Generator):
+    """A Generator whose standard-normal rows of d values come out scaled
+    by ``factor`` at chosen positions in its stream, counting the witness
+    direction as row 0, so a batched and a one-row draw shrink the same
+    rows."""
+
+    def __init__(self, seed, d, rows, factor):
+        super().__init__(np.random.PCG64(seed))
+        self.d, self.rows, self.factor, self.drawn = d, frozenset(rows), factor, 0
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        first = self.drawn // self.d
+        block = out.reshape(-1, self.d)
+        for j in range(block.shape[0]):
+            if first + j in self.rows:
+                block[j] *= self.factor
+        self.drawn += out.size
+        return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 60),
+    rows=st.sets(st.integers(1, 150), max_size=40),
+    factor=st.sampled_from([0.0, 1e-14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margin_draw_skips_near_zero_rows_like_the_per_row_draw(d, n, rows, factor, seed):
+    # a standard-normal row with norm below 1e-12 has probability about 0,
+    # so shrink chosen rows of the stream below it (zero, or 1e-14 times
+    # their draw): both draws must skip exactly those rows. Under errstate
+    # a zero row that reached the division would raise, and a kept 1e-14
+    # row would be a unit feature the per-row draw never has.
+    with np.errstate(divide="raise", invalid="raise"):
+        _assert_draws_match(d, n, 0.25, *(_ShrunkRows(seed, d, rows, factor) for _ in range(2)))
 
 
 _SIZE_CASES = [
