@@ -41,13 +41,10 @@ from .bench import (
 from .geometry import Ball, as_point, project_onto_ball
 from .hardness import (
     GrowthReport,
-    LowerBoundSpec,
     ModulusReport,
-    PackingSpec,
     PinchReport,
     Quadratic1D,
     StabilityReport,
-    SuperefficiencyParams,
     SuperefficiencyReport,
     growth_closure_check,
     make_lower_bound_instance,
@@ -72,11 +69,9 @@ from .interpolation import (
 )
 from .losses import (
     FAMILIES,
-    ExtensionQuery,
     IndicatorQuadratic,
     QuadraticAnchor,
     SmoothedHingeMargin,
-    batch_ext_gradients,
     batch_gradients,
     batch_values,
     clip_gradients,

@@ -28,10 +28,7 @@ from .base_solvers import (
 )
 from .geometry import _check_count, _check_positive, _check_probability
 from .hardness import (
-    LowerBoundSpec,
-    PackingSpec,
     Quadratic1D,
-    SuperefficiencyParams,
     growth_closure_check,
     make_lower_bound_instance,
     make_margin_classification,
@@ -254,7 +251,7 @@ _INSTANCE_BUILDERS = {
         else make_noiseless_least_squares(cfg.d, n, xstar, cfg.H, radius=cfg.radius)
     ),
     IndicatorQuadratic.tag: lambda cfg, n, xstar, rng: make_lower_bound_instance(
-        LowerBoundSpec(d=cfg.d, n=n, k=max(1, n // 2), v=xstar, H=cfg.H)
+        cfg.d, n, max(1, n // 2), xstar, cfg.H
     ),
     SmoothedHingeMargin.tag: lambda cfg, n, xstar, rng: make_margin_classification(
         cfg.d, n, cfg.margin, rng
@@ -581,9 +578,11 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
     def add(name, measured, bound, passed, detail=""):
         lines.append(OracleLine(name, float(measured), float(bound), bool(passed), detail))
 
-    # superefficiency: H = growth = 1, domain radius 1, n = 100, one swap
+    # superefficiency: H = growth = 1, domain radius 1, n = 100, and
+    # r = ceil(1/eps) swaps at eps = 1
     base = make_noiseless_least_squares(1, 100, np.zeros(1), 1.0, radius=1.0)
-    report = superefficiency_construct(base, SuperefficiencyParams.from_epsilon(1.0, anchor=1.0))
+    eps = 1.0
+    report = superefficiency_construct(base, math.ceil(1.0 / eps), 1.0)
     add("superefficiency-shift-lower", report.shift, report.lower_bound,
         report.shift >= report.lower_bound - 1e-12, "shift >= bound")
     add("superefficiency-shift-upper", report.shift, report.upper_bound,
@@ -615,7 +614,7 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
         1.0, pinch.gradient_lower_ok and pinch.gradient_upper_ok,
         "(lambda/2) dist <= |F'| <= H dist on grid")
 
-    packing = make_packing(PackingSpec(D=1.0, gamma=0.25, d=1))
+    packing = make_packing(1.0, 0.25, 1)
     add("packing-count", float(len(packing)), 1.0 / (2 * 0.25),
         len(packing) >= 1.0 / (2 * 0.25), "grid packing count >= D/(2 gamma)")
 
@@ -624,9 +623,7 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
         "noiseless-least-squares": make_noiseless_least_squares(
             2, 64, np.array([0.5, 0.0]), 1.0
         ),
-        "lower-bound": make_lower_bound_instance(
-            LowerBoundSpec(d=2, n=64, k=32, v=np.array([0.5, 0.0]), H=1.0)
-        ),
+        "lower-bound": make_lower_bound_instance(2, 64, 32, np.array([0.5, 0.0]), 1.0),
         "margin-classification": make_margin_classification(
             2, 64, 0.25, RngStream(seed, stream=7)
         ),

@@ -5,7 +5,9 @@ constants and, for the interpolating ones, a certificate that every
 per-sample gradient vanishes at the optimum. Oracles measure what a
 construction actually delivers (minimizer shift, stability, growth after
 removals, pinched-minimizer location) against the closed-form bounds it
-is supposed to satisfy, and say so in small report objects.
+is supposed to satisfy, and say so in small report objects. Every
+generator and oracle takes its parameters as plain arguments and checks
+them itself.
 
 All quadratic-family oracles exploit that per-sample Hessians are
 isotropic (c * I with c = H or 0), which makes adversarial choices exact
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Vector, _check_count, _check_positive, as_point
+from .geometry import Ball, _check_count, _check_positive, as_point
 from .losses import IndicatorQuadratic, QuadraticAnchor, SmoothedHingeMargin
 from .mechanisms import as_generator
 from .problems import (
@@ -34,63 +36,6 @@ from .problems import (
     interpolation_certificate,
     is_interpolating,
 )
-
-# -- parameter records -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowerBoundSpec:
-    """Indicator-quadratic lower-bound construction: n - k off samples,
-    k samples anchored at v."""
-
-    d: int
-    n: int
-    k: int
-    v: Vector
-    H: float
-
-    def __post_init__(self):
-        _check_count("d", self.d)
-        _check_count("n", self.n)
-        _check_count("k", self.k, hi=self.n)
-        object.__setattr__(self, "v", as_point(self.v, self.d).copy())
-        if not self.v.any():
-            raise ValueError("v must be nonzero (the zero payload is the off state)")
-        self.v.setflags(write=False)
-        _check_positive("H", self.H)
-
-
-@dataclass(frozen=True)
-class PackingSpec:
-    """Axis-grid packing of the ball of diameter D at separation gamma."""
-
-    D: float
-    gamma: float
-    d: int
-
-    def __post_init__(self):
-        _check_positive("D", self.D)
-        if not (0 < self.gamma <= self.D / 2):
-            raise ValueError(f"gamma must lie in (0, D/2], got {self.gamma}")
-        _check_count("d", self.d, hi=3)
-
-
-@dataclass(frozen=True)
-class SuperefficiencyParams:
-    """Replacement attack on an interpolating base: drop the last r
-    samples, append r anchors at +anchor."""
-
-    r: int
-    anchor: float
-
-    def __post_init__(self):
-        _check_count("r", self.r)
-
-    @classmethod
-    def from_epsilon(cls, eps: float, anchor: float) -> "SuperefficiencyParams":
-        _check_positive("eps", eps)
-        return cls(r=math.ceil(1.0 / eps), anchor=anchor)
-
 
 # -- generators --------------------------------------------------------------
 
@@ -217,42 +162,53 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
     return inst
 
 
-def make_lower_bound_instance(spec: LowerBoundSpec) -> Instance:
+def make_lower_bound_instance(d: int, n: int, k: int, v, H: float) -> Instance:
     """n - k off samples followed by k samples anchored at v.
 
     Population risk is (k H / 2n) ||x - v||^2: interpolating, with
     growth coefficient exactly k H / n.
     """
-    points = np.zeros((spec.n, spec.d))
-    points[spec.n - spec.k :] = spec.v
-    R = max(1.0, 2.0 * float(np.linalg.norm(spec.v)))
-    domain = Ball(np.zeros(spec.d), R)
-    if not domain.contains(spec.v):
+    _check_count("d", d)
+    _check_count("n", n)
+    _check_count("k", k, hi=n)
+    v = as_point(v, d)
+    if not v.any():
+        raise ValueError("v must be nonzero (the zero payload is the off state)")
+    _check_positive("H", H)
+    points = np.zeros((n, d))
+    points[n - k :] = v
+    R = max(1.0, 2.0 * float(np.linalg.norm(v)))
+    domain = Ball(np.zeros(d), R)
+    if not domain.contains(v):
         raise ValueError("v must lie inside the domain ball")
-    L = spec.H * (float(np.linalg.norm(spec.v)) + R)
+    L = H * (float(np.linalg.norm(v)) + R)
     inst = Instance(
-        family=IndicatorQuadratic(spec.H),
+        family=IndicatorQuadratic(H),
         dataset=Dataset(points),
         domain=domain,
-        constants=LossConstants(L=L, H=spec.H, growth=spec.k * spec.H / spec.n, kappa=2.0),
-        optimum=Optimum(spec.v),
+        constants=LossConstants(L=L, H=H, growth=k * H / n, kappa=2.0),
+        optimum=Optimum(v),
     )
     assert interpolation_certificate(inst) == 0.0
     return inst
 
 
-def make_packing(spec: PackingSpec) -> np.ndarray:
+def make_packing(D: float, gamma: float, d: int) -> np.ndarray:
     """Axis-aligned gamma-grid inside the centered ball of diameter D.
 
     Points are gamma * z for integer vectors z with norm at most D/2
-    (boundary included), in lexicographic order. Pairwise separation is
-    exactly gamma along each axis; the 1-D count is 2*floor(D/(2 gamma))
-    + 1 >= D / (2 gamma).
+    (boundary included), in lexicographic order, for d <= 3. Pairwise
+    separation is exactly gamma along each axis; the 1-D count is
+    2*floor(D/(2 gamma)) + 1 >= D / (2 gamma).
     """
-    half = spec.D / 2.0
-    reach = int(math.floor(half / spec.gamma + 1e-12))
-    axis = np.arange(-reach, reach + 1, dtype=np.float64) * spec.gamma
-    grids = np.meshgrid(*([axis] * spec.d), indexing="ij")
+    _check_positive("D", D)
+    if not (0 < gamma <= D / 2):
+        raise ValueError(f"gamma must lie in (0, D/2], got {gamma}")
+    _check_count("d", d, hi=3)
+    half = D / 2.0
+    reach = int(math.floor(half / gamma + 1e-12))
+    axis = np.arange(-reach, reach + 1, dtype=np.float64) * gamma
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     keep = np.linalg.norm(pts, axis=1) <= half + 1e-12
     return pts[keep]
@@ -269,7 +225,6 @@ class SuperefficiencyReport:
     upper_bound: float
     passed: bool
     base_minimizer: float
-    params: SuperefficiencyParams
 
 
 @dataclass(frozen=True)
@@ -278,8 +233,6 @@ class ModulusReport:
     boundary-anchor replacement family."""
 
     values: tuple[float, ...]
-    anchor_magnitude: float
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -294,9 +247,7 @@ class StabilityReport:
 class GrowthReport:
     coefficient: float
     bound: float
-    removed: int
     passed: bool
-    method: str
 
 
 @dataclass(frozen=True)
@@ -334,32 +285,31 @@ def _active_values_1d(inst: Instance) -> np.ndarray:
     return inst.family.anchors(inst.dataset.points)[:, 0]
 
 
-def superefficiency_construct(
-    base: Instance, params: SuperefficiencyParams
-) -> SuperefficiencyReport:
-    """Swap the last r samples for boundary anchors and measure the shift.
+def superefficiency_construct(base: Instance, r: int, anchor: float) -> SuperefficiencyReport:
+    """Swap the last r samples for anchors at +anchor and measure the shift.
 
     Preconditions enforced, not generalized: 1-D, interpolating,
     positive declared growth, population minimizer at most 0, r < n.
     The shift of the population minimizer is then sandwiched between
     r D / n and 8 H D r / (lambda n) with D the domain radius.
     """
+    _check_count("r", r)
     lam, H = base.constants.growth, base.constants.H
     _check_positive("growth", lam)
     if not is_interpolating(base):
         raise ValueError("base instance must interpolate (zero gradients at the optimum)")
-    if params.r >= base.n:
-        raise ValueError(f"must keep at least one sample: r = {params.r}, n = {base.n}")
+    if r >= base.n:
+        raise ValueError(f"must keep at least one sample: r = {r}, n = {base.n}")
     _active_values_1d(base)  # 1-D quadratic family, or ValueError
     base_min = float(exact_minimizer(base)[0])
     if base_min > 0.0:
         raise ValueError(f"largest population minimizer must be <= 0, got {base_min}")
     D = base.domain.radius
-    if abs(params.anchor) > D:
-        raise ValueError(f"anchor {params.anchor} lies outside the domain radius {D}")
+    if abs(anchor) > D:
+        raise ValueError(f"anchor {anchor} lies outside the domain radius {D}")
 
     points = base.dataset.points.copy()
-    points[base.n - params.r :, 0] = params.anchor
+    points[base.n - r :, 0] = anchor
     anchors = base.family.anchors(points)
     growth_new = base.family.weight(anchors.shape[0], base.n)
     min_new = float(anchors[:, 0].mean())
@@ -372,8 +322,8 @@ def superefficiency_construct(
         optimum=Optimum(np.array([min_new])),
     )
     shift = min_new - base_min
-    lower = params.r * D / base.n
-    upper = 8.0 * H * D * params.r / (lam * base.n)
+    lower = r * D / base.n
+    upper = 8.0 * H * D * r / (lam * base.n)
     return SuperefficiencyReport(
         instance=shifted,
         shift=shift,
@@ -381,7 +331,6 @@ def superefficiency_construct(
         upper_bound=upper,
         passed=bool(lower - 1e-12 <= shift <= upper + 1e-12),
         base_minimizer=base_min,
-        params=params,
     )
 
 
@@ -424,11 +373,7 @@ def modulus_oracle(base: Instance, k: int) -> ModulusReport:
     for j in range(k + 1):
         running = max(running, best_shift(j))
         values.append(running)
-    return ModulusReport(
-        values=tuple(values),
-        anchor_magnitude=D,
-        detail="exact over the +/-D replacement family (isotropic quadratics)",
-    )
+    return ModulusReport(values=tuple(values))
 
 
 def stability_bound_check(
@@ -477,9 +422,7 @@ def growth_closure_check(base: Instance, r: int) -> GrowthReport:
     return GrowthReport(
         coefficient=coefficient,
         bound=bound,
-        removed=r,
         passed=bool(coefficient >= bound - 1e-12),
-        method="exact-isotropic",
     )
 
 

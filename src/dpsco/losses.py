@@ -33,9 +33,12 @@ n-sample average around the mean of its k anchors) and
 has no anchors, so its ``anchors`` is None.
 
 The module functions validate inputs and call those methods. The batch
-forms are the only code path the solvers use; ``loss_value``,
-``loss_gradient`` and ``lip_ext_gradient`` are the batch forms applied to
-one row. Clipping is done with a mask and the input array is returned
+forms are the only code path the solvers use; ``loss_value`` and
+``loss_gradient`` are the batch forms applied to one row, and
+``lip_ext_gradient`` is ``clip_gradients`` over ``batch_gradients`` on
+one row. The two ``lip_ext_*`` functions take one query as plain
+arguments: point, payload, label (None for the unlabeled families) and
+clip level. Clipping is done with a mask and the input array is returned
 untouched when no row clips (runs with a slack clip bound stay bitwise
 identical to unclipped runs).
 """
@@ -190,26 +193,6 @@ LossFamily = QuadraticAnchor | IndicatorQuadratic | SmoothedHingeMargin
 FAMILIES = {cls.tag: cls for cls in (QuadraticAnchor, IndicatorQuadratic, SmoothedHingeMargin)}
 
 
-@dataclass(frozen=True)
-class ExtensionQuery:
-    """One extension evaluation: query point, sample payload, clip level.
-
-    The clip level is a positive real that may also be infinite: no
-    clipping, so the extension is the loss itself.
-    """
-
-    x: Vector
-    payload: Vector
-    clipL: float
-    label: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_point(self.x))
-        object.__setattr__(self, "payload", as_point(self.payload, self.x.shape[0]))
-        if self.clipL != math.inf:
-            _check_positive("clip level", self.clipL)
-
-
 def _check_labels(family: LossFamily, labels) -> None:
     if family.labeled and labels is None:
         raise ValueError(f"{type(family).__name__} samples need +/-1 labels")
@@ -222,6 +205,14 @@ def _one_row(x, payload, label) -> tuple[Vector, np.ndarray, np.ndarray | None]:
     x = as_point(x)
     payload = as_point(payload, x.shape[0])
     return x, payload[None, :], None if label is None else np.array([float(label)])
+
+
+def _ext_row(x, payload, label, clipL) -> tuple[Vector, np.ndarray, np.ndarray | None]:
+    """``_one_row`` for an extension query, after checking its clip level."""
+    row = _one_row(x, payload, label)
+    if clipL != math.inf:
+        _check_positive("clip level", clipL)
+    return row
 
 
 # -- single-sample values and gradients ------------------------------------
@@ -238,22 +229,25 @@ def loss_gradient(family: LossFamily, x, payload, label=None) -> Vector:
 # -- Lipschitzian extension -------------------------------------------------
 
 
-def lip_ext_value(family: LossFamily, query: ExtensionQuery) -> float:
-    _check_labels(family, query.label)
-    return family.ext_value(query.x, query.payload, query.label, query.clipL)
+def lip_ext_value(family: LossFamily, x, payload, label, clipL: float) -> float:
+    """Extension value at x for one sample. The clip level is a positive
+    real that may also be infinite: no clipping, so the extension is the
+    loss itself."""
+    x, points, _ = _ext_row(x, payload, label, clipL)
+    _check_labels(family, label)
+    return family.ext_value(x, points[0], label, clipL)
 
 
-def lip_ext_gradient(family: LossFamily, query: ExtensionQuery) -> Vector:
+def lip_ext_gradient(family: LossFamily, x, payload, label, clipL: float) -> Vector:
     """Gradient of the extension; norm never exceeds the clip level.
 
-    This is ``batch_ext_gradients`` on one row: the raw gradient, scaled
-    back onto the clip sphere when its norm exceeds clipL. Where
+    The raw gradient of one row, scaled back onto the clip sphere by
+    ``clip_gradients`` when its norm exceeds clipL. Where
     ||grad f(x)|| <= clipL (equality included) it is exactly grad f(x),
     bit for bit.
     """
-    grads, _ = batch_ext_gradients(
-        family, *_one_row(query.x, query.payload, query.label), query.clipL
-    )
+    row = _ext_row(x, payload, label, clipL)
+    grads, _ = clip_gradients(batch_gradients(family, *row), clipL)
     return grads[0]
 
 
@@ -296,11 +290,3 @@ def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarr
     consumed = norms.copy()
     consumed[mask] = _row_norms(out[mask])
     return out, consumed
-
-
-def batch_ext_gradients(
-    family: LossFamily, x, points: np.ndarray, labels, clip: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extension gradients for a payload block: gradients then mask-clip."""
-    grads = batch_gradients(family, x, points, labels)
-    return clip_gradients(grads, clip)

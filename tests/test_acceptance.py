@@ -17,18 +17,15 @@ import pytest
 import _oracles
 from dpsco import (
     Ball,
-    ExtensionQuery,
     IndicatorQuadratic,
     InnerSolveConfig,
     LossConstants,
-    LowerBoundSpec,
     PrivacyBudget,
     Quadratic1D,
     QuadraticAnchor,
     RngStream,
     Schedule,
     SmoothedHingeMargin,
-    SuperefficiencyParams,
     adaptive_solver,
     epoch_growth_solver,
     excess_risk,
@@ -139,16 +136,16 @@ def test_criterion_03_extension_oracle_equivalence():
     checked = skipped = 0
     for kind, fam in fams.items():
         for q in _oracles.make_queries(kind, 500, rng):
-            query = ExtensionQuery(x=q.x, payload=q.payload, clipL=q.L, label=q.label)
+            query = (q.x, q.payload, q.label, q.L)
             f = _oracles.raw_loss_for(kind, q)
             conv = _oracles.grid_infconv(f, q.x, q.L)
-            max_val = max(max_val, abs(lip_ext_value(fam, query) - conv.value))
+            max_val = max(max_val, abs(lip_ext_value(fam, *query) - conv.value))
             status, grad = _oracles.gradient_oracle(f, q.x, q.L, conv)
             if status == "boundary":
                 skipped += 1
                 continue
             checked += 1
-            err = float(np.linalg.norm(lip_ext_gradient(fam, query) - grad))
+            err = float(np.linalg.norm(lip_ext_gradient(fam, *query) - grad))
             max_grad = max(max_grad, err)
     ok = max_val <= 1e-3 and max_grad <= 1e-3 and skipped < checked
     _report(
@@ -208,7 +205,7 @@ def test_criterion_05_modulus_sandwich():
     for n in (100, 1000):
         base = make_noiseless_least_squares(1, n, [0.0], 1.0, radius=1.0)
         for r in range(1, 11):
-            rep = superefficiency_construct(base, SuperefficiencyParams(r=r, anchor=1.0))
+            rep = superefficiency_construct(base, r=r, anchor=1.0)
             shifts.append(rep.shift)
             if not (rep.lower_bound - 1e-10 <= rep.shift <= rep.upper_bound + 1e-10):
                 violations += 1
@@ -263,7 +260,7 @@ def test_criterion_07_growth_closure():
         ("anchored", make_noiseless_least_squares(1, n, [0.0], 1.0), 1.0),
         (
             "indicator",
-            make_lower_bound_instance(LowerBoundSpec(d=1, n=n, k=50, v=[0.5], H=1.0)),
+            make_lower_bound_instance(d=1, n=n, k=50, v=[0.5], H=1.0),
             0.5,
         ),
     ]
@@ -355,9 +352,7 @@ def test_criterion_11_certificates_and_containment():
             make_noiseless_least_squares(2, 64, np.array([0.5, 0.0]), 1.0)
         ),
         "lower-bound": interpolation_certificate(
-            make_lower_bound_instance(
-                LowerBoundSpec(d=2, n=64, k=32, v=np.array([0.5, 0.0]), H=1.0)
-            )
+            make_lower_bound_instance(d=2, n=64, k=32, v=np.array([0.5, 0.0]), H=1.0)
         ),
         "margin": interpolation_certificate(
             make_margin_classification(2, 64, 0.25, RngStream(0, stream=7))

@@ -38,7 +38,6 @@ from _oracles import (
 from dpsco import base_solvers
 from dpsco.base_solvers import Plan, Step, _closed_form_count, _execute, _flatten
 from dpsco.hardness import (
-    LowerBoundSpec,
     make_lower_bound_instance,
     make_margin_classification,
     make_noiseless_least_squares,
@@ -172,7 +171,7 @@ def test_gradient_hook_sees_consumed_norms():
 # inside [0, 100) is a block with no anchor (k = 0)
 _PHASE_INSTANCES = {
     "quad": make_noisy_least_squares(2, 200, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0)),
-    "ind": make_lower_bound_instance(LowerBoundSpec(d=2, n=200, k=100, v=[0.5, 0.0], H=1.0)),
+    "ind": make_lower_bound_instance(d=2, n=200, k=100, v=[0.5, 0.0], H=1.0),
     "hinge": make_margin_classification(3, 200, 0.25, RngStream(2, 0)),
 }
 

@@ -82,7 +82,7 @@ def test_projection_is_idempotent_and_nonexpansive():
 
 def test_frozen_records_copy_the_caller_arrays():
     from dpsco import (
-        InnerSolveConfig, LowerBoundSpec, PrivacyBudget, RngStream, Schedule,
+        InnerSolveConfig, PrivacyBudget, RngStream, Schedule,
         interpolation_localization, make_lower_bound_instance, make_noiseless_least_squares,
     )
 
@@ -93,7 +93,7 @@ def test_frozen_records_copy_the_caller_arrays():
         inst, x0, Schedule(T=2, m=64, beta=0.1, constant_scale=2e-3), PrivacyBudget(1.0),
         InnerSolveConfig(), RngStream(0),
     )
-    make_lower_bound_instance(LowerBoundSpec(d=2, n=8, k=2, v=v, H=1.0))
+    make_lower_bound_instance(d=2, n=8, k=2, v=v, H=1.0)
     for arr in (center, xstar, x0, v):
         assert arr.flags.writeable
     assert not ball.center.flags.writeable and not inst.optimum.point.flags.writeable

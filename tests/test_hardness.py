@@ -1,7 +1,5 @@
 """Hard-instance generators and certified hardness checkers."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +13,9 @@ from dpsco import (
     GrowthReport,
     Instance,
     LossConstants,
-    LowerBoundSpec,
-    PackingSpec,
     QuadraticAnchor,
     Quadratic1D,
     RngStream,
-    SuperefficiencyParams,
     exact_minimizer,
     excess_risk,
     growth_closure_check,
@@ -40,38 +35,36 @@ from dpsco import (
     superefficiency_construct,
 )
 
-# -------------------------------------------------------------- spec types
+# ------------------------------------------------------- argument checks
 
 
-def test_lower_bound_spec_validation():
-    LowerBoundSpec(d=2, n=10, k=5, v=[1.0, 0.0], H=1.0)
-    with pytest.raises(ValueError):
-        LowerBoundSpec(d=2, n=10, k=0, v=[1.0, 0.0], H=1.0)
-    with pytest.raises(ValueError):
-        LowerBoundSpec(d=2, n=10, k=11, v=[1.0, 0.0], H=1.0)
-    with pytest.raises(ValueError):
-        LowerBoundSpec(d=2, n=10, k=5, v=[0.0, 0.0], H=1.0)  # off state
-    with pytest.raises(ValueError):
-        LowerBoundSpec(d=2, n=10, k=5, v=[1.0, 0.0], H=0.0)
+def test_lower_bound_instance_validation():
+    make_lower_bound_instance(d=2, n=10, k=5, v=[1.0, 0.0], H=1.0)
+    with pytest.raises(ValueError, match=r"^k must be an integer in 1\.\.10, got 0$"):
+        make_lower_bound_instance(d=2, n=10, k=0, v=[1.0, 0.0], H=1.0)
+    with pytest.raises(ValueError, match=r"^k must be an integer in 1\.\.10, got 11$"):
+        make_lower_bound_instance(d=2, n=10, k=11, v=[1.0, 0.0], H=1.0)
+    off = r"^v must be nonzero \(the zero payload is the off state\)$"
+    with pytest.raises(ValueError, match=off):
+        make_lower_bound_instance(d=2, n=10, k=5, v=[0.0, 0.0], H=1.0)
+    with pytest.raises(ValueError, match="^H must be a positive real, got 0.0$"):
+        make_lower_bound_instance(d=2, n=10, k=5, v=[1.0, 0.0], H=0.0)
 
 
-def test_packing_spec_validation():
-    PackingSpec(D=1.0, gamma=0.5, d=3)
-    with pytest.raises(ValueError):
-        PackingSpec(D=0.0, gamma=0.1, d=1)
-    with pytest.raises(ValueError):
-        PackingSpec(D=1.0, gamma=0.6, d=1)  # above D/2
-    with pytest.raises(ValueError):
-        PackingSpec(D=1.0, gamma=0.25, d=4)
+def test_packing_validation():
+    assert make_packing(D=1.0, gamma=0.5, d=3).shape[1] == 3
+    with pytest.raises(ValueError, match="^D must be a positive real, got 0.0$"):
+        make_packing(D=0.0, gamma=0.1, d=1)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, D/2\], got 0.6$"):
+        make_packing(D=1.0, gamma=0.6, d=1)  # above D/2
+    with pytest.raises(ValueError, match=r"^d must be an integer in 1\.\.3, got 4$"):
+        make_packing(D=1.0, gamma=0.25, d=4)
 
 
-def test_superefficiency_params_validation():
-    p = SuperefficiencyParams.from_epsilon(0.3, anchor=1.0)
-    assert p.r == math.ceil(1.0 / 0.3) == 4
-    with pytest.raises(ValueError):
-        SuperefficiencyParams(r=0, anchor=1.0)
-    with pytest.raises(ValueError):
-        SuperefficiencyParams.from_epsilon(0.0, anchor=1.0)
+def test_superefficiency_swap_count_validation():
+    base = make_noiseless_least_squares(1, 100, [0.0], 1.0, radius=1.0)
+    with pytest.raises(ValueError, match="^r must be an integer >= 1, got 0$"):
+        superefficiency_construct(base, r=0, anchor=1.0)
 
 
 # -------------------------------------------------------------- generators
@@ -201,9 +194,7 @@ _GENERATORS = {
     "noiseless": lambda d, n: make_noiseless_least_squares(d, n, [0.5, 0.0], 1.0),
     "noisy": lambda d, n: make_noisy_least_squares(d, n, [0.5, 0.0], 1.0, 0.5, RngStream(0)),
     "margin": lambda d, n: make_margin_classification(d, n, 0.25, RngStream(0)),
-    "lower-bound": lambda d, n: make_lower_bound_instance(
-        LowerBoundSpec(d=d, n=n, k=1, v=[0.5, 0.0], H=1.0)
-    ),
+    "lower-bound": lambda d, n: make_lower_bound_instance(d=d, n=n, k=1, v=[0.5, 0.0], H=1.0),
 }
 
 
@@ -212,7 +203,8 @@ _GENERATORS = {
 def test_generators_reject_bad_sizes_at_once(generator, d, n, message):
     # before the shared check: d = 0 hung the margin generator and built a
     # 0-dimensional noiseless instance, n = 0 failed deep in the noisy one, a
-    # float n was accepted by the margin generator, and d = True by the spec
+    # float n was accepted by the margin generator, and d = True by the
+    # lower-bound generator
     with pytest.raises(ValueError, match=f"^{message}$"):
         _GENERATORS[generator](d, n)
 
@@ -223,8 +215,7 @@ def test_generators_accept_numpy_integer_sizes():
 
 
 def test_lower_bound_instance_population_risk():
-    spec = LowerBoundSpec(d=2, n=10, k=5, v=[1.0, 0.0], H=1.0)
-    inst = make_lower_bound_instance(spec)
+    inst = make_lower_bound_instance(d=2, n=10, k=5, v=[1.0, 0.0], H=1.0)
     # (k H / 2n) ||x - v||^2 at x = 0 is 5/20 = 0.25
     assert population_value(inst, [0.0, 0.0]) == 0.25
     assert inst.constants.growth == 0.5
@@ -232,10 +223,10 @@ def test_lower_bound_instance_population_risk():
     rng = np.random.default_rng(42)
     for _ in range(50):
         x = rng.standard_normal(2)
-        expect = (spec.k * spec.H / (2.0 * spec.n)) * float(np.sum((x - inst.optimum.point) ** 2))
+        expect = (5 * 1.0 / (2.0 * 10)) * float(np.sum((x - inst.optimum.point) ** 2))
         assert abs(population_value(inst, x) - expect) <= 1e-12 * max(1.0, expect)
     # k = n reduces to the plain anchored quadratic
-    full = make_lower_bound_instance(LowerBoundSpec(d=2, n=10, k=10, v=[1.0, 0.0], H=1.0))
+    full = make_lower_bound_instance(d=2, n=10, k=10, v=[1.0, 0.0], H=1.0)
     plain = make_noiseless_least_squares(2, 10, [1.0, 0.0], 1.0)
     for _ in range(20):
         x = rng.standard_normal(2)
@@ -243,21 +234,20 @@ def test_lower_bound_instance_population_risk():
 
 
 def test_packing_one_dimensional_worked_example():
-    pts = make_packing(PackingSpec(D=1.0, gamma=0.25, d=1))
+    pts = make_packing(D=1.0, gamma=0.25, d=1)
     assert np.array_equal(pts, np.array([[-0.5], [-0.25], [0.0], [0.25], [0.5]]))
     assert pts.shape[0] >= 1.0 / (2 * 0.25)
 
 
 def test_packing_separation_and_containment():
     for d in (1, 2, 3):
-        spec = PackingSpec(D=2.0, gamma=0.5, d=d)
-        pts = make_packing(spec)
+        pts = make_packing(D=2.0, gamma=0.5, d=d)
         assert pts.shape[0] >= 2
-        assert np.all(np.linalg.norm(pts, axis=1) <= spec.D / 2 + 1e-12)
+        assert np.all(np.linalg.norm(pts, axis=1) <= 2.0 / 2 + 1e-12)
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         np.fill_diagonal(dist, np.inf)
-        assert dist.min() >= spec.gamma - 1e-12
+        assert dist.min() >= 0.5 - 1e-12
 
 
 # ------------------------------------------------------------- checkers
@@ -265,7 +255,7 @@ def test_packing_separation_and_containment():
 
 def test_superefficiency_worked_example():
     base = make_noiseless_least_squares(1, 100, [0.0], 1.0, radius=1.0)
-    report = superefficiency_construct(base, SuperefficiencyParams.from_epsilon(1.0, anchor=1.0))
+    report = superefficiency_construct(base, r=1, anchor=1.0)
     assert report.base_minimizer == 0.0
     assert report.shift == 0.01  # one swapped anchor moves the mean by D/n
     assert report.lower_bound == 0.01
@@ -278,14 +268,14 @@ def test_superefficiency_sandwich_across_sizes():
     for n in (100, 1000):
         base = make_noiseless_least_squares(1, n, [0.0], 1.0, radius=1.0)
         for r in range(1, 11):
-            rep = superefficiency_construct(base, SuperefficiencyParams(r=r, anchor=1.0))
+            rep = superefficiency_construct(base, r=r, anchor=1.0)
             assert rep.passed
             assert rep.lower_bound - 1e-12 <= rep.shift <= rep.upper_bound + 1e-12
 
 
 def test_superefficiency_indicator_family():
-    base = make_lower_bound_instance(LowerBoundSpec(d=1, n=50, k=10, v=[-0.5], H=1.0))
-    rep = superefficiency_construct(base, SuperefficiencyParams(r=2, anchor=0.8))
+    base = make_lower_bound_instance(d=1, n=50, k=10, v=[-0.5], H=1.0)
+    rep = superefficiency_construct(base, r=2, anchor=0.8)
     assert rep.passed
     # swapped rows were active: 8 anchors stay at -0.5, 2 move to +0.8
     assert rep.shift == pytest.approx((8 * -0.5 + 2 * 0.8) / 10 - (-0.5), abs=1e-12)
@@ -296,21 +286,21 @@ def test_superefficiency_preconditions():
     with pytest.raises(ValueError):  # not interpolating
         superefficiency_construct(
             make_noisy_least_squares(1, 100, [0.0], 1.0, 0.3, RngStream(42, 0)),
-            SuperefficiencyParams(r=1, anchor=1.0),
+            r=1, anchor=1.0,
         )
     with pytest.raises(ValueError):  # r >= n
-        superefficiency_construct(good, SuperefficiencyParams(r=100, anchor=1.0))
+        superefficiency_construct(good, r=100, anchor=1.0)
     with pytest.raises(ValueError):  # anchor outside the domain
-        superefficiency_construct(good, SuperefficiencyParams(r=1, anchor=2.0))
+        superefficiency_construct(good, r=1, anchor=2.0)
     with pytest.raises(ValueError):  # population minimizer above zero
         superefficiency_construct(
             make_noiseless_least_squares(1, 100, [0.3], 1.0),
-            SuperefficiencyParams(r=1, anchor=1.0),
+            r=1, anchor=1.0,
         )
     with pytest.raises(ValueError):  # one-dimensional oracle
         superefficiency_construct(
             make_noiseless_least_squares(2, 100, [0.0, 0.0], 1.0),
-            SuperefficiencyParams(r=1, anchor=1.0),
+            r=1, anchor=1.0,
         )
 
 
@@ -318,7 +308,6 @@ def test_modulus_oracle_worked_example():
     base = make_noiseless_least_squares(1, 100, [0.0], 1.0, radius=1.0)
     report = modulus_oracle(base, 3)
     assert report.values == (0.0, 0.01, 0.02, 0.03)
-    assert report.anchor_magnitude == 1.0
     assert modulus_oracle(base, 0).values == (0.0,)
 
 
@@ -341,7 +330,7 @@ def test_modulus_is_monotone_and_dominates_the_swap_rate():
 
 
 def test_modulus_indicator_enumeration():
-    base = make_lower_bound_instance(LowerBoundSpec(d=1, n=4, k=2, v=[-0.5], H=1.0))
+    base = make_lower_bound_instance(d=1, n=4, k=2, v=[-0.5], H=1.0)
     rep = modulus_oracle(base, 1)
     # best single swap: turn an active -0.5 anchor into +1 (j_on = 1):
     # new mean (-0.5 + 1) / 2 = 0.25, shift 0.75 from the base mean -0.5
@@ -413,7 +402,7 @@ def test_growth_closure_keeps_the_declared_coefficient_at_zero_removals():
     report = growth_closure_check(base, 0)
     assert report.coefficient == 1.0
     assert report.bound == 1.0  # lambda exactly: no removal, no discount
-    assert report.passed and report.removed == 0
+    assert report.passed
 
 
 def test_growth_closure_worked_example():
@@ -425,7 +414,7 @@ def test_growth_closure_worked_example():
 
 
 def test_growth_closure_indicator_drops_active_rows_first():
-    inst = make_lower_bound_instance(LowerBoundSpec(d=1, n=10, k=5, v=[0.5], H=1.0))
+    inst = make_lower_bound_instance(d=1, n=10, k=5, v=[0.5], H=1.0)
     report = growth_closure_check(inst, 2)
     assert report.coefficient == pytest.approx(0.3, abs=1e-15)
     assert report.bound == pytest.approx(0.3, abs=1e-15)
@@ -476,5 +465,5 @@ def test_pinch_validation():
 
 
 def test_growth_report_is_a_plain_record():
-    rep = GrowthReport(coefficient=1.0, bound=0.9, removed=1, passed=True, method="x")
+    rep = GrowthReport(coefficient=1.0, bound=0.9, passed=True)
     assert rep.coefficient == 1.0 and rep.passed

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 import _oracles
 from dpsco import (
-    ExtensionQuery,
     IndicatorQuadratic,
     QuadraticAnchor,
     SmoothedHingeMargin,
-    batch_ext_gradients,
     batch_gradients,
     batch_values,
     clip_gradients,
@@ -120,18 +118,19 @@ def test_gradients_match_finite_differences():
 
 
 def test_extension_worked_example_one_dimensional():
-    q = ExtensionQuery(x=[3.0], payload=[0.0], clipL=1.0)
-    assert lip_ext_value(QA, q) == pytest.approx(2.5, abs=1e-12)
-    assert np.allclose(lip_ext_gradient(QA, q), [1.0])
-    assert np.allclose(_oracles.ext_argmin("quad", _oracles.Query(q.x, q.payload, 1.0, None)),
+    x, s = np.array([3.0]), np.array([0.0])
+    assert lip_ext_value(QA, x, s, None, 1.0) == pytest.approx(2.5, abs=1e-12)
+    assert np.allclose(lip_ext_gradient(QA, x, s, None, 1.0), [1.0])
+    assert np.allclose(_oracles.ext_argmin("quad", _oracles.Query(x, s, 1.0, None)),
                        [1.0], atol=1e-12)
 
 
 def test_extension_query_validation():
-    with pytest.raises(ValueError):
-        ExtensionQuery(x=[1.0], payload=[0.0], clipL=0.0)
-    with pytest.raises(ValueError):
-        ExtensionQuery(x=[1.0, 2.0], payload=[0.0], clipL=1.0)
+    for ext in (lip_ext_value, lip_ext_gradient):
+        with pytest.raises(ValueError, match="^clip level must be a positive real, got 0.0$"):
+            ext(QA, [1.0], [0.0], None, 0.0)
+        with pytest.raises(ValueError, match="^point has dimension 1, expected 2$"):
+            ext(QA, [1.0, 2.0], [0.0], None, 1.0)
 
 
 def test_extension_equals_loss_in_the_unclipped_region():
@@ -147,9 +146,9 @@ def test_extension_equals_loss_in_the_unclipped_region():
         grad = loss_gradient(fam, x, s, label=label)
         if np.linalg.norm(grad) > clip - 1e-6:
             continue
-        q = ExtensionQuery(x=x, payload=s, clipL=clip, label=label)
-        assert abs(lip_ext_value(fam, q) - loss_value(fam, x, s, label=label)) <= 1e-9
-        assert np.allclose(lip_ext_gradient(fam, q), grad, atol=1e-9)
+        value = lip_ext_value(fam, x, s, label, clip)
+        assert abs(value - loss_value(fam, x, s, label=label)) <= 1e-9
+        assert np.allclose(lip_ext_gradient(fam, x, s, label, clip), grad, atol=1e-9)
         checked += 1
 
 
@@ -164,14 +163,12 @@ def test_extension_gradient_norm_never_exceeds_clip():
         clip = float(rng.uniform(0.2, 2.0))
         if kind == "hinge" and np.linalg.norm(s) <= 1e-9:
             continue
-        q = ExtensionQuery(x=x, payload=s, clipL=clip, label=label)
-        norm = float(np.linalg.norm(lip_ext_gradient(fam, q)))
+        norm = float(np.linalg.norm(lip_ext_gradient(fam, x, s, label, clip)))
         assert norm <= clip * (1 + 1e-12)
 
 
 def test_clipped_quadratic_gradient_points_away_from_anchor():
-    q = ExtensionQuery(x=[3.0, 4.0], payload=[0.0, 0.0], clipL=1.0)
-    grad = lip_ext_gradient(QA, q)
+    grad = lip_ext_gradient(QA, [3.0, 4.0], [0.0, 0.0], None, 1.0)
     assert np.allclose(grad, np.array([0.6, 0.8]), atol=1e-12)
     assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-12)
 
@@ -181,9 +178,8 @@ def test_huber_branch_boundary_is_bitwise_continuous():
     # the gradient there must equal the raw gradient exactly.
     for clip in (1.0, 0.5, 2.0):
         x = np.array([clip / 1.0, 0.0])  # H = 1 so the knee is at r = clip
-        q = ExtensionQuery(x=x, payload=[0.0, 0.0], clipL=clip)
         raw = loss_gradient(QA, x, [0.0, 0.0])
-        assert np.array_equal(lip_ext_gradient(QA, q), raw)
+        assert np.array_equal(lip_ext_gradient(QA, x, [0.0, 0.0], None, clip), raw)
 
 
 def test_extension_argmin_attains_the_extension_value():
@@ -200,12 +196,12 @@ def test_extension_argmin_attains_the_extension_value():
                 continue
             s = s * float(rng.uniform(0.6, 2.0)) / nrm
         clip = float(rng.uniform(0.3, 2.0))
-        q = ExtensionQuery(x=x, payload=s, clipL=clip, label=label)
-        y = _oracles.ext_argmin(kind, _oracles.Query(q.x, q.payload, clip, label))
+        y = _oracles.ext_argmin(kind, _oracles.Query(x, s, clip, label))
         attained = loss_value(fam, y, s, label=label) + clip * float(
             np.linalg.norm(np.asarray(x, dtype=float) - y)
         )
-        assert abs(attained - lip_ext_value(fam, q)) <= 1e-9 * max(1.0, abs(attained))
+        value = lip_ext_value(fam, x, s, label, clip)
+        assert abs(attained - value) <= 1e-9 * max(1.0, abs(attained))
 
 
 def test_extension_value_is_convex_along_lines():
@@ -225,7 +221,7 @@ def test_extension_value_is_convex_along_lines():
         b = 3.0 * rng.standard_normal(d)
 
         def val(p):
-            return lip_ext_value(fam, ExtensionQuery(x=p, payload=s, clipL=clip, label=label))
+            return lip_ext_value(fam, p, s, label, clip)
 
         va, vb, vm = val(a), val(b), val(0.5 * (a + b))
         assert vm <= 0.5 * (va + vb) + 1e-9
@@ -246,7 +242,6 @@ def test_extension_gradient_matches_finite_differences_off_the_knee():
                 continue
             s = s * float(rng.uniform(0.6, 2.0)) / nrm
         clip = float(rng.uniform(0.3, 2.0))
-        q = ExtensionQuery(x=x, payload=s, clipL=clip, label=label)
         raw_norm = np.linalg.norm(loss_gradient(fam, x, s, label=label))
         if abs(raw_norm - clip) < 1e-2:
             continue  # too close to the clip knee for two-sided FD
@@ -255,15 +250,10 @@ def test_extension_gradient_matches_finite_differences_off_the_knee():
             seams = (abs(margin_arg - 1.0), abs(margin_arg - 0.5))
             if min(seams) < 1e-2:
                 continue
-        grad = lip_ext_gradient(fam, q)
+        grad = lip_ext_gradient(fam, x, s, label, clip)
 
         def val(z):
-            return np.array(
-                [
-                    lip_ext_value(fam, ExtensionQuery(x=p, payload=s, clipL=clip, label=label))
-                    for p in z
-                ]
-            )
+            return np.array([lip_ext_value(fam, p, s, label, clip) for p in z])
 
         fd = _oracles.fd_gradient(val, x)
         assert np.linalg.norm(grad - fd) <= 2e-5 * max(1.0, np.linalg.norm(grad))
@@ -275,13 +265,12 @@ def test_extension_agrees_with_grid_infimal_convolution():
     for kind in ("quad", "indicator", "hinge"):
         for q in _oracles.make_queries(kind, 40, rng):
             fam = {"quad": QA, "indicator": IQ, "hinge": HINGE}[kind]
-            query = ExtensionQuery(x=q.x, payload=q.payload, clipL=q.L, label=q.label)
             f = _oracles.raw_loss_for(kind, q)
             conv = _oracles.grid_infconv(f, q.x, q.L)
-            assert abs(lip_ext_value(fam, query) - conv.value) <= 1e-3
+            assert abs(lip_ext_value(fam, q.x, q.payload, q.label, q.L) - conv.value) <= 1e-3
             status, grad = _oracles.gradient_oracle(f, q.x, q.L, conv)
             if status != "boundary":
-                lib = lip_ext_gradient(fam, query)
+                lib = lip_ext_gradient(fam, q.x, q.payload, q.label, q.L)
                 assert np.linalg.norm(lib - grad) <= 1e-3
 
 
@@ -308,11 +297,11 @@ def test_batch_values_and_gradients_match_singles():
         norms = np.linalg.norm(batch_gradients(fam, x, block, lab), axis=1)
         clip = float(np.median(norms[norms > 0]))
         assert 0 < np.count_nonzero(norms > clip) < 50
-        ext, _ = batch_ext_gradients(fam, x, block, lab, clip)
+        ext, _ = clip_gradients(batch_gradients(fam, x, block, lab), clip)
         for i in range(50):
             li = labels[i] if kind == "hinge" else None
-            q = ExtensionQuery(x=x, payload=block[i], clipL=clip, label=li)
-            assert np.allclose(ext[i], lip_ext_gradient(fam, q), rtol=0, atol=1e-12)
+            single = lip_ext_gradient(fam, x, block[i], li, clip)
+            assert np.allclose(ext[i], single, rtol=0, atol=1e-12)
 
 
 def test_clip_gradients_identity_when_nothing_clips():
@@ -334,17 +323,6 @@ def test_clip_gradients_scales_onto_the_clip_sphere():
     assert consumed[0] == pytest.approx(np.linalg.norm(out[0]), abs=0)
     assert consumed[0] <= 1.0 + 1e-12
     assert consumed[1] == pytest.approx(0.1, abs=1e-15)
-
-
-def test_batch_ext_gradients_composes_gradients_and_clipping():
-    rng = np.random.default_rng(70)
-    x = np.array([2.0, -1.0])
-    pts = 1.5 * rng.standard_normal((30, 2))
-    out, consumed = batch_ext_gradients(QA, x, pts, None, 0.7)
-    assert np.all(consumed <= 0.7 + 1e-12)
-    raw = batch_gradients(QA, x, pts, None)
-    expect, _ = clip_gradients(raw, 0.7)
-    assert np.allclose(out, expect, atol=0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -18,7 +18,6 @@ from dpsco import (
     Ball,
     Dataset,
     InnerSolveConfig,
-    LowerBoundSpec,
     PrivacyBudget,
     RngStream,
     Schedule,
@@ -80,7 +79,7 @@ def _runs():
     """(label, thunk) for every solver on every family it accepts."""
     quad = make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0)
     noisy = make_noisy_least_squares(2, 512, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0))
-    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0))
+    ind = make_lower_bound_instance(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0)
     hinge = make_margin_classification(3, 256, 0.25, RngStream(2, 0))
     tiny = make_noiseless_least_squares(2, 64, [0.5, 0.0], 1.0)
     steep = {f"{tag}-k3": replace(i, constants=replace(i.constants, kappa=3.0))
@@ -224,7 +223,7 @@ def _neighbour_pairs():
     its neighbour declares other constants (ROADMAP direction 1)."""
     far = np.array([50.0, -50.0])
     quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
-    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
+    ind = make_lower_bound_instance(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0)
     hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
     # the hinge declares no growth, so the localizing solvers refuse it
     return [
@@ -271,7 +270,7 @@ def _every_solver_run():
     """(solver, instance) for every ``_SOLVERS`` entry on the quadratic and
     indicator instances, and the two that accept the hinge on it."""
     quad = make_noiseless_least_squares(2, 384, [0.5, 0.0], 1.0)
-    ind = make_lower_bound_instance(LowerBoundSpec(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0))
+    ind = make_lower_bound_instance(d=2, n=384, k=192, v=[0.5, 0.0], H=1.0)
     hinge = make_margin_classification(2, 384, 0.25, RngStream(5, 0))
     runs = [(solver, inst) for inst in (quad, ind) for solver in sorted(_SOLVERS)]
     return runs + [(solver, hinge) for solver in ("erm", "growth")]
@@ -389,7 +388,7 @@ def _block_paths(fn):
 _EQ_INSTANCES = {
     "quad": make_noiseless_least_squares(2, 512, [0.5, 0.0], 1.0),
     "noisy": make_noisy_least_squares(2, 512, [0.5, 0.0], 1.0, 0.3, RngStream(1, 0)),
-    "ind": make_lower_bound_instance(LowerBoundSpec(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0)),
+    "ind": make_lower_bound_instance(d=2, n=512, k=256, v=[0.5, 0.0], H=1.0),
 }
 _EQ_BUDGETS = {"pure": PURE, "gauss": GAUSS, "free": FREE}
 

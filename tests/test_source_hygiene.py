@@ -36,7 +36,6 @@ SETTABLE_TEST_ONLY_ALLOWED = {
     "solve_regularized_erm.tolerance": "reference form (TEST_ONLY_ALLOWED)",
     "loss_value.label": "reference form (TEST_ONLY_ALLOWED)",
     "loss_gradient.label": "reference form (TEST_ONLY_ALLOWED)",
-    "ExtensionQuery.label": "the query of the lip_ext_* reference forms",
     # perfbench passes InnerSolveConfig() by position, so the class goes
     # only with a change to the benchmark
     "InnerSolveConfig.tolerance": "waits for one solver signature (ROADMAP direction 3)",

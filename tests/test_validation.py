@@ -17,13 +17,10 @@ from dpsco import (
     ExperimentConfig,
     InnerSolveConfig,
     LossConstants,
-    LowerBoundSpec,
-    PackingSpec,
     PrivacyBudget,
     Quadratic1D,
     RngStream,
     Schedule,
-    SuperefficiencyParams,
     adaptive_solver,
     as_point,
     build_instance,
@@ -145,18 +142,18 @@ COUNTS = [
      lambda v: _points(make_margin_classification(v, 4, 0.25, RngStream(0))), 2, 1, None),
     ("make_margin_classification", "n",
      lambda v: _points(make_margin_classification(2, v, 0.25, RngStream(0))), 4, 1, None),
-    ("LowerBoundSpec", "d",
-     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(v, 4, 2, [0.5, 0.0], 1.0))),
+    ("make_lower_bound_instance", "d",
+     lambda v: _points(make_lower_bound_instance(v, 4, 2, [0.5, 0.0], 1.0)),
      2, 1, None),
-    ("LowerBoundSpec", "n",
-     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(2, v, 2, [0.5, 0.0], 1.0))),
+    ("make_lower_bound_instance", "n",
+     lambda v: _points(make_lower_bound_instance(2, v, 2, [0.5, 0.0], 1.0)),
      4, 1, None),
-    ("LowerBoundSpec", "k",
-     lambda v: _points(make_lower_bound_instance(LowerBoundSpec(2, 4, v, [0.5, 0.0], 1.0))),
+    ("make_lower_bound_instance", "k",
+     lambda v: _points(make_lower_bound_instance(2, 4, v, [0.5, 0.0], 1.0)),
      2, 1, 4),
-    ("PackingSpec", "d", lambda v: make_packing(PackingSpec(1.0, 0.25, v)).tolist(), 2, 1, 3),
-    ("SuperefficiencyParams", "r",
-     lambda v: superefficiency_construct(BASE, SuperefficiencyParams(v, 1.0)).shift, 2, 1, None),
+    ("make_packing", "d", lambda v: make_packing(1.0, 0.25, v).tolist(), 2, 1, 3),
+    ("superefficiency_construct", "r",
+     lambda v: superefficiency_construct(BASE, v, 1.0).shift, 2, 1, None),
     ("modulus_oracle", "k", lambda v: modulus_oracle(BASE, v).values, 3, 0, 99),
     ("stability_bound_check", "k",
      lambda v: stability_bound_check(BASE, BASE, v, LossConstants(L=2.0, H=1.0, growth=1.0)),
@@ -220,7 +217,7 @@ def test_the_shrink_rule_needs_two_samples_per_block():
     "build, message",
     [
         # each went on with a meaningless value before the rule was shared
-        pytest.param(lambda: make_packing(PackingSpec(D=math.inf, gamma=0.25, d=1)),
+        pytest.param(lambda: make_packing(D=math.inf, gamma=0.25, d=1),
                      "D must be a positive real, got inf", id="packing-D"),  # OverflowError
         pytest.param(lambda: pinch_check(Quadratic1D(math.inf, 0.0), Quadratic1D(1.0, 1.0)),
                      "coef must be a positive real, got inf", id="pinch-coef"),  # a NaN report
