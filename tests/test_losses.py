@@ -325,6 +325,22 @@ def test_clip_gradients_scales_onto_the_clip_sphere():
     assert consumed[1] == pytest.approx(0.1, abs=1e-15)
 
 
+def test_clip_gradients_over_a_loss_batch_keeps_direction_and_bounds_norm():
+    rng = np.random.default_rng(70)
+    x = np.array([2.0, -1.0])
+    pts = 1.5 * rng.standard_normal((30, 2))
+    raw = batch_gradients(QA, x, pts, None)
+    raw_norms = np.linalg.norm(raw, axis=1)
+    clipped = raw_norms > 0.7
+    assert 0 < np.count_nonzero(clipped) < 30
+    out, consumed = clip_gradients(raw, 0.7)
+    assert np.all(consumed <= 0.7 + 1e-12)
+    assert np.array_equal(out[~clipped], raw[~clipped])
+    assert np.allclose(np.linalg.norm(out[clipped], axis=1), 0.7, rtol=0, atol=1e-12)
+    assert np.allclose(out[clipped] * raw_norms[clipped, None], 0.7 * raw[clipped],
+                       rtol=0, atol=1e-12)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["quad", "indicator"]),
