@@ -21,13 +21,11 @@ from .base_solvers import (
 from .bench import (
     AuditOutcome,
     CSV_COLUMNS,
-    DegenerateFitError,
     ExperimentConfig,
     OracleLine,
     RateFit,
     build_instance,
     coerce_mapping,
-    config_from_mapping,
     fit_rate,
     load_config,
     parse_config_text,
@@ -41,7 +39,6 @@ from .bench import (
 from .geometry import Ball, as_point, project_onto_ball
 from .hardness import (
     GrowthReport,
-    ModulusReport,
     PinchReport,
     Quadratic1D,
     StabilityReport,
@@ -58,7 +55,6 @@ from .hardness import (
     superefficiency_construct,
 )
 from .interpolation import (
-    ScheduleInfeasibleError,
     adaptive_solver,
     default_schedule,
     interpolation_localization,
@@ -93,11 +89,9 @@ from .problems import (
     Dataset,
     Instance,
     LossConstants,
-    Optimum,
     PrivacyBudget,
     RunTrace,
     Schedule,
-    UnsupportedFamilyError,
     exact_minimizer,
     excess_risk,
     interpolation_certificate,

@@ -85,11 +85,8 @@ from .problems import Instance, PrivacyBudget, RunTrace
 
 
 class ConvergenceError(RuntimeError):
-    """Inner solve hit its iteration cap; carries the last gradient norm."""
-
-    def __init__(self, message: str, gradient_norm: float):
-        super().__init__(message)
-        self.gradient_norm = gradient_norm
+    """Inner solve hit its iteration cap; the message states the last
+    projected-gradient norm."""
 
 
 @dataclass(frozen=True)
@@ -127,15 +124,14 @@ def solve_regularized_erm(
     *,
     span: tuple[int, int] | None = None,
     clip: float = math.inf,
-    tolerance: float | None = None,
 ) -> tuple[Vector, float]:
     """Minimize span-average loss + (1/(eta n0))||x - center||^2 over a ball.
 
     Returns (minimizer, max consumed gradient norm at the minimizer).
-    Raises ConvergenceError when gradient descent cannot reach tolerance
-    within cfg.max_iterations. This is the executor's walk on a run of
-    one release, without noise. The clip level is a positive real that
-    may also be infinite: no clipping, the default.
+    Raises ConvergenceError when gradient descent cannot reach
+    cfg.tolerance within cfg.max_iterations. This is the executor's walk
+    on a run of one release, without noise. The clip level is a positive
+    real that may also be infinite: no clipping, the default.
     """
     center = as_point(center, inst.d)
     if domain.d != inst.d:
@@ -143,15 +139,11 @@ def solve_regularized_erm(
     _check_positive("eta", eta)
     if clip != math.inf:
         _check_positive("clip level", clip)
-    if tolerance is not None:
-        _check_positive("tolerance", tolerance)
     lo, hi = (0, inst.n) if span is None else span
     _check_count("span start", lo, lo=0, hi=inst.n - 1)
     _check_count("span end", hi, lo=lo + 1, hi=inst.n)
     flat = _flatten(Plan((Step((lo, hi), None, None, clip, 0.0, eta),)))
-    (x,), (consumed,), _ = _execute(
-        inst, flat, center, domain.center, domain.radius, cfg, (), tolerance
-    )
+    (x,), (consumed,), _ = _execute(inst, flat, center, domain.center, domain.radius, cfg, ())
     return x, consumed
 
 
@@ -300,7 +292,7 @@ def _consumed(grads, clips) -> list[float]:
     return used
 
 
-def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
+def _execute(inst, flat, x, center, radius, cfg, noise):
     """Walk a flattened plan from x inside the ball (center, radius): the
     one place a release is solved and noised.
 
@@ -308,8 +300,7 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
     innermost nested plan around it); otherwise in the ball of its radius
     around the current iterate. ``noise`` holds the pre-drawn rows of
     the releases with a positive noise scale, one per release in run
-    order; a release with noise scale 0 runs gradient descent to
-    ``tolerance`` (or ``cfg``'s).
+    order.
 
     On an anchor family the releases are walked in windows. From the
     current iterate the walk chains each release's closed form
@@ -367,9 +358,8 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
                 x = frames.step(op, x)
             c = frames.center[frame[i]] if leaves[i].radius is None else x
         step = leaves[i]
-        tol = step.noise_scale / 100.0 if step.noise_scale > 0 else tolerance
         x, consumed[i] = _phase(inst, x, step.eta, c, radii[i], cfg, *step.samples,
-                                step.lipschitz, tol)
+                                step.lipschitz, step.noise_scale)
         if row_of[i] is not None:
             x = x + noise[row_of[i]]
         iterates[i] = x
@@ -379,15 +369,16 @@ def _execute(inst, flat, x, center, radius, cfg, noise, tolerance=None):
     return iterates, consumed, frames.exits
 
 
-def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance):
+def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, noise_scale):
     """One release by projected gradient descent on validated inputs and a
     raw ball; the proximal term makes the objective reg-strongly convex,
-    so this contracts linearly."""
+    so this contracts linearly. It stops at the tolerance rule of
+    ``InnerSolveConfig``."""
     pts = inst.dataset.points[lo:hi]
     labels = inst.dataset.labels[lo:hi] if inst.dataset.labels is not None else None
     n0 = hi - lo
     reg = 2.0 / (eta * n0)  # gradient coefficient of the proximal term
-    tol = cfg.tolerance if tolerance is None else max(tolerance, cfg.tolerance)
+    tol = max(noise_scale / 100.0, cfg.tolerance)
     fam = inst.family
     step = 1.0 / (inst.constants.H + reg)
     x = _project(center, ball_center, radius)
@@ -407,8 +398,7 @@ def _phase(inst, center, eta, ball_center, radius, cfg, lo, hi, clip, tolerance)
             return x, max_consumed
     raise ConvergenceError(
         f"regularized ERM did not reach tolerance {tol:.3e} within "
-        f"{cfg.max_iterations} iterations (last projected-gradient norm {move:.3e})",
-        gradient_norm=move,
+        f"{cfg.max_iterations} iterations (last projected-gradient norm {move:.3e})"
     )
 
 

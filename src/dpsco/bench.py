@@ -71,11 +71,6 @@ LINEAR_IN_N = "log-linear-in-n"
 LINEAR_IN_LOG_N = "log-linear-in-log-n"
 
 
-class DegenerateFitError(ValueError):
-    """Rate fit impossible: too few grid points, or a median that is not
-    finite and positive."""
-
-
 # -- configuration -----------------------------------------------------------
 
 
@@ -87,7 +82,7 @@ class ExperimentConfig:
     the constants; set m (and optionally T, default n // m) to pin it.
     beta unset means n**(-mu). A key the configured solver or family
     never reads is rejected. Each field's annotation is also the type
-    its key=value text is parsed to (``config_from_mapping``).
+    its key=value text is parsed to (``load_config``).
     """
 
     solver: str = "interpolation"
@@ -225,10 +220,6 @@ def coerce_mapping(mapping: dict[str, str], hints: dict[str, object]) -> dict:
     return kwargs
 
 
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    return ExperimentConfig(**coerce_mapping(mapping, _CONFIG_TYPES))
-
-
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """defaults < file < overrides, with overrides given as raw strings."""
     mapping: dict[str, str] = {}
@@ -237,7 +228,7 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Ex
             mapping.update(parse_config_text(fh.read()))
     if overrides:
         mapping.update(overrides)
-    return config_from_mapping(mapping)
+    return ExperimentConfig(**coerce_mapping(mapping, _CONFIG_TYPES))
 
 
 # -- sweep -------------------------------------------------------------------
@@ -370,10 +361,6 @@ def run_sweep(cfg: ExperimentConfig, seed_base: int = 0) -> list[dict]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -460,14 +447,14 @@ def fit_rate(rows: list[dict]) -> tuple[RateFit, RateFit]:
             raise ValueError(f"sweep rows have no {exc.args[0]!r} column") from exc
         groups.setdefault(n, []).append(risk)
     if len(groups) < 4:
-        raise DegenerateFitError(
+        raise ValueError(
             f"need at least 4 distinct n values to fit a rate, got {len(groups)}"
         )
     ns = np.array(sorted(groups), dtype=np.float64)
     medians = np.array([np.median(groups[int(n)]) for n in ns])
     bad = [int(n) for n, med in zip(ns, medians) if not 0 < med < math.inf]
     if bad:
-        raise DegenerateFitError(f"non-positive or non-finite median excess risk at n = {bad}")
+        raise ValueError(f"non-positive or non-finite median excess risk at n = {bad}")
     y = np.log(medians)
     return _fit_line(ns, y, LINEAR_IN_N), _fit_line(np.log(ns), y, LINEAR_IN_LOG_N)
 
@@ -588,12 +575,12 @@ def run_oracles(seed: int = 0) -> list[OracleLine]:
     add("superefficiency-shift-upper", report.shift, report.upper_bound,
         report.shift <= report.upper_bound + 1e-12, "shift <= bound")
 
-    mod = modulus_oracle(base, 10)
-    diffs = np.diff(mod.values)
+    omega = modulus_oracle(base, 10)
+    diffs = np.diff(omega)
     add("modulus-monotone", float(diffs.min()) if diffs.size else 0.0, 0.0,
         bool(np.all(diffs >= -1e-15)), "omega(k) nondecreasing")
-    add("modulus-one-swap", mod.values[1], base.domain.radius / base.n,
-        mod.values[1] >= base.domain.radius / base.n - 1e-12, "omega(1) >= D/n")
+    add("modulus-one-swap", omega[1], base.domain.radius / base.n,
+        omega[1] >= base.domain.radius / base.n - 1e-12, "omega(1) >= D/n")
 
     stab = stability_bound_check(
         base, report.instance, 1, LossConstants(L=2.0, H=1.0, growth=1.0)

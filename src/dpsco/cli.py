@@ -25,7 +25,7 @@ from .bench import (
     run_sweep,
     write_rows_csv,
 )
-from .interpolation import ScheduleInfeasibleError, sample_complexity
+from .interpolation import sample_complexity
 from .mechanisms import InconclusiveAuditError, RngStream
 from .problems import PrivacyBudget
 
@@ -168,14 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ScheduleInfeasibleError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        print(
-            f"hint: retry with constant_scale <= {exc.feasible_scale!r} "
-            "or set T and m explicitly",
-            file=sys.stderr,
-        )
-        return 2
     except InconclusiveAuditError as exc:
         print(f"FAIL audit inconclusive: {exc}", file=sys.stderr)
         return 1

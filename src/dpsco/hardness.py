@@ -5,9 +5,9 @@ constants and, for the interpolating ones, a certificate that every
 per-sample gradient vanishes at the optimum. Oracles measure what a
 construction actually delivers (minimizer shift, stability, growth after
 removals, pinched-minimizer location) against the closed-form bounds it
-is supposed to satisfy, and say so in small report objects. Every
-generator and oracle takes its parameters as plain arguments and checks
-them itself.
+is supposed to satisfy, and say so in small report objects (the
+modulus oracle in a plain tuple of its bounds). Every generator and
+oracle takes its parameters as plain arguments and checks them itself.
 
 All quadratic-family oracles exploit that per-sample Hessians are
 isotropic (c * I with c = H or 0), which makes adversarial choices exact
@@ -31,7 +31,6 @@ from .problems import (
     Dataset,
     Instance,
     LossConstants,
-    Optimum,
     exact_minimizer,
     interpolation_certificate,
     is_interpolating,
@@ -74,7 +73,7 @@ def make_noiseless_least_squares(
         dataset=Dataset(points),
         domain=domain,
         constants=LossConstants(L=L, H=H, growth=H, kappa=2.0),
-        optimum=Optimum(xstar),
+        optimum=xstar,
     )
     assert interpolation_certificate(inst) == 0.0
     return inst
@@ -106,7 +105,7 @@ def make_noisy_least_squares(
         dataset=Dataset(points),
         domain=domain,
         constants=LossConstants(L=L, H=H, growth=H, kappa=2.0),
-        optimum=Optimum(mean),
+        optimum=mean,
     )
 
 
@@ -156,7 +155,7 @@ def make_margin_classification(d: int, n: int, margin: float, rng) -> Instance:
         dataset=Dataset(points, labels),
         domain=Ball(np.zeros(d), 2.0 * float(np.linalg.norm(witness))),
         constants=LossConstants(L=1.0, H=H, growth=0.0, kappa=2.0),
-        optimum=Optimum(witness),
+        optimum=witness,
     )
     assert interpolation_certificate(inst) == 0.0
     return inst
@@ -187,7 +186,7 @@ def make_lower_bound_instance(d: int, n: int, k: int, v, H: float) -> Instance:
         dataset=Dataset(points),
         domain=domain,
         constants=LossConstants(L=L, H=H, growth=k * H / n, kappa=2.0),
-        optimum=Optimum(v),
+        optimum=v,
     )
     assert interpolation_certificate(inst) == 0.0
     return inst
@@ -225,14 +224,6 @@ class SuperefficiencyReport:
     upper_bound: float
     passed: bool
     base_minimizer: float
-
-
-@dataclass(frozen=True)
-class ModulusReport:
-    """Certified minimizer-shift lower bounds omega(0..k) over the
-    boundary-anchor replacement family."""
-
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -319,7 +310,7 @@ def superefficiency_construct(base: Instance, r: int, anchor: float) -> Supereff
         dataset=Dataset(points),
         domain=base.domain,
         constants=LossConstants(L=L_new, H=H, growth=growth_new, kappa=base.constants.kappa),
-        optimum=Optimum(np.array([min_new])),
+        optimum=[min_new],
     )
     shift = min_new - base_min
     lower = r * D / base.n
@@ -334,8 +325,9 @@ def superefficiency_construct(base: Instance, r: int, anchor: float) -> Supereff
     )
 
 
-def modulus_oracle(base: Instance, k: int) -> ModulusReport:
-    """Certified lower bounds on the minimizer shift after <= j swaps.
+def modulus_oracle(base: Instance, k: int) -> tuple[float, ...]:
+    """Certified lower bounds omega(0..k) on the minimizer shift after
+    <= j swaps.
 
     For each j <= k, maximizes |new minimizer - old| over the family
     that replaces j samples with anchors at +/- the domain radius. With
@@ -373,7 +365,7 @@ def modulus_oracle(base: Instance, k: int) -> ModulusReport:
     for j in range(k + 1):
         running = max(running, best_shift(j))
         values.append(running)
-    return ModulusReport(values=tuple(values))
+    return tuple(values)
 
 
 def stability_bound_check(

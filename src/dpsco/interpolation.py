@@ -30,10 +30,10 @@ before it starts.
     beta = n^{-mu},  T = n // m,
 
 where md = d for delta = 0 and sqrt(d) * ln(1/delta) otherwise. At
-bench scale the rule is usually infeasible at constant_scale = 1; the
-error says which scale would fit. ``adaptive_solver`` is a two-step
-plan: a growth run on half the data, then, with the interpolation-width
-guess
+bench scale the rule is usually infeasible at constant_scale = 1; its
+ValueError names the largest scale that fits. ``adaptive_solver`` is a
+two-step plan: a growth run on half the data, then, with the
+interpolation-width guess
 
     D_int = constant_scale * 128 * (L / lambda)
             * ( sqrt(ln(2/beta)) ln^{3/2}(n) / sqrt(n)
@@ -53,20 +53,6 @@ from dataclasses import replace
 from .base_solvers import InnerSolveConfig, Plan, SolverResult, _nested, _run, growth_plan
 from .geometry import _check_count, _check_positive, _check_probability, as_point
 from .problems import Instance, LossConstants, PrivacyBudget, Schedule
-
-
-class ScheduleInfeasibleError(ValueError):
-    """The block-size rule asks for more samples than the dataset has.
-
-    Attributes: ``block_size`` (the real-valued block size the rule
-    produced) and ``feasible_scale`` (the largest constant_scale whose
-    block size fits the dataset).
-    """
-
-    def __init__(self, message: str, block_size: float, feasible_scale: float):
-        super().__init__(message)
-        self.block_size = block_size
-        self.feasible_scale = feasible_scale
 
 
 def shrink_diameter(
@@ -260,10 +246,9 @@ def default_schedule(
 ) -> Schedule:
     """Schedule from the block-size rule: m = max(2, ceil(rule)), T = n // m.
 
-    Raises ScheduleInfeasibleError when the rule's block exceeds n; the
-    error carries the raw block size and the largest feasible
-    constant_scale (the rule is linear in the scale). Raises ValueError
-    when the rule's block size overflows to infinity (a huge scale).
+    Raises ValueError when the rule's block exceeds n, naming the largest
+    feasible constant_scale (the rule is linear in the scale), and when
+    the rule's block size overflows to infinity (a huge scale).
     """
     raw = schedule_block_size(n, constants, d, budget, mu, constant_scale)
     if not math.isfinite(raw):
@@ -273,12 +258,9 @@ def default_schedule(
         )
     m = max(2, math.ceil(raw))
     if m > n:
-        feasible = constant_scale * n / raw
-        raise ScheduleInfeasibleError(
-            f"block-size rule wants m = {m} of n = {n} samples; "
-            f"constant_scale <= {feasible:.6g} would fit",
-            block_size=raw,
-            feasible_scale=feasible,
+        raise ValueError(
+            f"block-size rule wants m = {m} of n = {n} samples; retry with "
+            f"constant_scale <= {constant_scale * n / raw!r} or set T and m explicitly"
         )
     beta = float(n) ** (-mu)
     _check_probability("beta = n^-mu", beta)

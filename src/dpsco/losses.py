@@ -280,8 +280,6 @@ def clip_gradients(grads: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarr
     returned rows, not assumed.
     """
     norms = _row_norms(grads)
-    if not math.isfinite(clip):
-        return grads, norms
     mask = norms > clip
     if not mask.any():
         return grads, norms

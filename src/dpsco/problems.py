@@ -1,7 +1,8 @@
 """Problem instances: data, constants, budgets, schedules, traces.
 
 An :class:`Instance` bundles a loss family, an ordered dataset, a domain
-ball, and the declared analytic constants. Constants are *declared*, not
+ball, the declared analytic constants and, when known, the population
+minimizer as a read-only vector. Constants are *declared*, not
 derived: generators in :mod:`dpsco.hardness` set honest values, and an
 anchor-family instance with a declared optimum is checked to have zero
 excess risk there at construction time. The hinge has no closed form to
@@ -25,10 +26,6 @@ from .losses import FAMILIES, LossFamily, batch_gradients, batch_values
 
 if TYPE_CHECKING:
     from .base_solvers import Step
-
-
-class UnsupportedFamilyError(ValueError):
-    """The requested closed form does not exist for this family."""
 
 
 @dataclass(frozen=True)
@@ -109,26 +106,17 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class Optimum:
-    """Known population minimizer, as a concrete witness point."""
-
-    point: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_point(self.point).copy())
-        self.point.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Loss family + dataset + domain ball + declared constants."""
+    """Loss family + dataset + domain ball + declared constants, and the
+    known population minimizer ``optimum`` (stored as a read-only copy),
+    or None when none is declared."""
 
     family: LossFamily
     dataset: Dataset
     domain: Ball
     constants: LossConstants
-    optimum: Optimum | None = None
+    optimum: Vector | None = None
 
     def __post_init__(self):
         if type(self.family) not in FAMILIES.values():
@@ -146,11 +134,13 @@ class Instance:
         if fam.anchors is not None and fam.H != self.constants.H:
             raise ValueError(f"family curvature {fam.H} != declared H {self.constants.H}")
         if self.optimum is not None:
-            if self.optimum.point.shape[0] != self.dataset.d:
+            point = as_point(self.optimum).copy()
+            point.setflags(write=False)
+            object.__setattr__(self, "optimum", point)
+            if point.shape[0] != self.dataset.d:
                 raise ValueError("optimum dimension does not match the dataset")
             # the hinge has no closed form to check its declared optimum against
             if fam.anchors is not None:
-                point = self.optimum.point
                 value = population_value(self, point)
                 gap = excess_risk(self, point)
                 if gap > 1e-12 * max(1.0, abs(value)):
@@ -185,8 +175,8 @@ def exact_minimizer(inst: Instance) -> Vector:
             return inst.domain.center.copy()
         return project_onto_ball(pts.mean(axis=0), inst.domain)
     if inst.optimum is not None:
-        return project_onto_ball(inst.optimum.point, inst.domain)
-    raise UnsupportedFamilyError("hinge instances need a declared optimum")
+        return project_onto_ball(inst.optimum, inst.domain)
+    raise ValueError("hinge instances need a declared optimum")
 
 
 def excess_risk(inst: Instance, x) -> float:
@@ -212,10 +202,8 @@ def excess_risk(inst: Instance, x) -> float:
         )
         return max(0.0, gap)
     if inst.optimum is None:
-        raise UnsupportedFamilyError(
-            "hinge excess risk needs a declared optimum to measure against"
-        )
-    gap = population_value(inst, x) - population_value(inst, inst.optimum.point)
+        raise ValueError("hinge excess risk needs a declared optimum to measure against")
+    gap = population_value(inst, x) - population_value(inst, inst.optimum)
     return max(0.0, gap)
 
 
@@ -223,9 +211,7 @@ def interpolation_certificate(inst: Instance) -> float:
     """max over samples of ||grad F(x_opt; s)||; 0 means interpolation."""
     if inst.optimum is None:
         raise ValueError("certificate needs a declared optimum")
-    grads = batch_gradients(
-        inst.family, inst.optimum.point, inst.dataset.points, inst.dataset.labels
-    )
+    grads = batch_gradients(inst.family, inst.optimum, inst.dataset.points, inst.dataset.labels)
     return float(np.linalg.norm(grads, axis=1).max())
 
 

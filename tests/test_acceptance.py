@@ -364,7 +364,7 @@ def test_criterion_11_certificates_and_containment():
 
     n = 2048
     inst = make_noiseless_least_squares(2, n, np.array([0.5, 0.0]), 1.0)
-    xstar = inst.optimum.point
+    xstar = inst.optimum
     sched = Schedule(T=n // 512, m=512, beta=0.05, constant_scale=2.9e-3)
     contained = 0
     for seed in range(200):

@@ -1,6 +1,7 @@
 """Regularized ERM, localization, the epoch growth solver, and clipping."""
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -144,10 +145,6 @@ def test_regularized_erm_span_and_validation():
         solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, clip=0.0)
     with pytest.raises(ValueError, match="domain has dimension"):
         solve_regularized_erm(inst, [0.0], 1.0, Ball(np.zeros(2), 1.0), CFG)
-    # nan would never stop a phase, and inf would stop every phase after one step
-    for tol in BAD_TOLERANCES:
-        with pytest.raises(ValueError, match="tolerance must be a positive real"):
-            solve_regularized_erm(inst, [0.0], 1.0, inst.domain, CFG, tolerance=tol)
 
 
 def test_regularized_erm_convergence_error_carries_gradient_norm():
@@ -157,7 +154,8 @@ def test_regularized_erm_convergence_error_carries_gradient_norm():
     tight = InnerSolveConfig(tolerance=1e-15, max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
         solve_regularized_erm(inst, [0.0], 10.0, inst.domain, tight, clip=0.5)
-    assert err.value.gradient_norm > 0.0
+    norm = re.search(r"last projected-gradient norm (\S+)\)$", str(err.value)).group(1)
+    assert float(norm) > 0.0
 
 
 def test_gradient_hook_sees_consumed_norms():
@@ -211,13 +209,13 @@ def test_executor_phase_equals_the_public_solve(tag, span, center, ball_center, 
         assert accepted == (clip_factor >= 1.0)
     else:
         clip = clip_factor
-    cfg, seen = InnerSolveConfig(tolerance=1e-6), {}
+    cfg, seen = InnerSolveConfig(tolerance=1e-5), {}
     with _consumed_norms() as seen["public"]:
         public = solve_regularized_erm(inst, list(x), eta, Ball(c, radius), cfg,
-                                       span=span, clip=clip, tolerance=1e-5)
+                                       span=span, clip=clip)
     with _consumed_norms() as seen["raw"]:
         raw = _execute(inst, _flatten(Plan((Step(span, None, None, clip, 0.0, eta),))), x, c,
-                       radius, cfg, (), 1e-5)
+                       radius, cfg, ())
     assert public[0].tobytes() == raw[0][0].tobytes()
     assert public[1] == raw[1][0]
     assert len(seen["public"]) == len(seen["raw"])
@@ -264,8 +262,8 @@ def test_gradient_descent_phase_equals_the_plain_loop(tag, span, center, ball_ce
         start = ball_projection(x, c, radius)
         clip = clip_factor * float(np.linalg.norm(grads(start), axis=1).max())
         solve = gradient_descent_only(solve_regularized_erm)
-    point, used = solve(inst, x, eta, Ball(c, radius), InnerSolveConfig(tolerance=1e-7),
-                        span=span, clip=clip, tolerance=1e-5)
+    point, used = solve(inst, x, eta, Ball(c, radius), InnerSolveConfig(tolerance=1e-5),
+                        span=span, clip=clip)
     ref, ref_used = projected_gradient_descent(grads, x, eta, inst.constants.H, c, radius,
                                                clip, 1e-5)
     assert point.tobytes() == ref.tobytes()
@@ -482,10 +480,10 @@ def test_wrapper_changes_nothing_when_clipping_never_triggers():
     inst = make_noiseless_least_squares(2, 128, [0.25, 0.0], 1.0)
     L = inst.constants.L
     wrapped = lipschitz_wrap(
-        localization_erm, inst, L, inst.optimum.point, 0.01, PURE, CFG, RngStream(13, 2)
+        localization_erm, inst, L, inst.optimum, 0.01, PURE, CFG, RngStream(13, 2)
     )
     plain = unclipped(localization_erm)(
-        inst, inst.optimum.point, 0.01, PURE, CFG, RngStream(13, 2)
+        inst, inst.optimum, 0.01, PURE, CFG, RngStream(13, 2)
     )
     assert np.array_equal(wrapped.point, plain.point)
     assert excess_risk(inst, wrapped.point) == excess_risk(inst, plain.point)

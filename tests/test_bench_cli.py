@@ -18,9 +18,8 @@ import pytest
 import dpsco
 from dpsco.bench import (
     CSV_COLUMNS,
-    DegenerateFitError,
     ExperimentConfig,
-    config_from_mapping,
+    build_instance,
     fit_rate,
     load_config,
     parse_config_text,
@@ -32,8 +31,10 @@ from dpsco.bench import (
     write_rows_csv,
 )
 from dpsco.cli import main
+from dpsco.interpolation import schedule_block_size
 from dpsco.losses import FAMILIES
 from dpsco.mechanisms import RngStream
+from dpsco.problems import PrivacyBudget
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,23 +92,23 @@ def test_parse_config_text():
 
 
 def test_config_from_mapping():
-    cfg = config_from_mapping(
-        {"solver": "adaptive", "n_grid": "64,128", "beta": "none", "m": "8", "wall_clock": "yes"}
-    )
+    cfg = load_config(None, {
+        "solver": "adaptive", "n_grid": "64,128", "beta": "none", "m": "8", "wall_clock": "yes",
+    })
     assert cfg.solver == "adaptive"
     assert cfg.n_grid == (64, 128)
     assert cfg.beta is None and cfg.m == 8 and cfg.wall_clock is True
-    assert config_from_mapping({"T": "none"}).T is None
+    assert load_config(None, {"T": "none"}).T is None
     with pytest.raises(ValueError, match="unknown config key"):
-        config_from_mapping({"stepsize": "1.0"})
+        load_config(None, {"stepsize": "1.0"})
     with pytest.raises(ValueError, match="unknown config key 'out'"):
-        config_from_mapping({"out": "sweep.csv"})  # the output path is --out
+        load_config(None, {"out": "sweep.csv"})  # the output path is --out
     with pytest.raises(ValueError, match="needs a value"):
-        config_from_mapping({"eps": "none"})
+        load_config(None, {"eps": "none"})
     with pytest.raises(ValueError, match="config key 'seeds'"):
-        config_from_mapping({"seeds": "many"})
+        load_config(None, {"seeds": "many"})
     with pytest.raises(ValueError, match="boolean"):
-        config_from_mapping({"wall_clock": "maybe"})
+        load_config(None, {"wall_clock": "maybe"})
 
 
 def test_load_config_precedence(tmp_path):
@@ -173,6 +174,19 @@ def test_manual_schedule_must_fit():
         run_sweep(cfg, seed_base=0)
 
 
+def test_rows_to_csv_formats_numpy_scalars_as_python_ones():
+    plain = {col: col for col in CSV_COLUMNS} | {"n": 1024, "seed": -3, "excess_risk": 0.1,
+                                                  "final_D": 1e-300}
+    numpy = plain | {"n": np.int64(1024), "seed": np.int64(-3), "excess_risk": np.float64(0.1),
+                     "final_D": np.float64(1e-300)}
+    text = rows_to_csv([plain])
+    assert rows_to_csv([numpy]) == text
+    cells = dict(zip(CSV_COLUMNS, text.splitlines()[1].split(",")))
+    assert (cells["n"], cells["seed"], cells["excess_risk"], cells["final_D"]) == (
+        "1024", "-3", "0.1", "1e-300",
+    )
+
+
 def test_csv_roundtrip(tmp_path):
     cfg = ExperimentConfig(solver="localization-erm", n_grid=(64,), seeds=2, wall_clock=True)
     rows = run_sweep(cfg, seed_base=1)
@@ -222,12 +236,12 @@ def test_fit_rate_flat_series_has_zero_slopes():
 
 
 def test_fit_rate_degenerate_inputs():
-    with pytest.raises(DegenerateFitError, match="4 distinct n"):
+    with pytest.raises(ValueError, match="4 distinct n"):
         fit_rate(_rows((100, 200, 300), lambda n: 1.0 / n))
-    with pytest.raises(DegenerateFitError, match="non-positive"):
+    with pytest.raises(ValueError, match="non-positive"):
         fit_rate(_rows((100, 200, 300, 400), lambda n: 0.0, seeds=1))
     for bad in (math.inf, math.nan):
-        with pytest.raises(DegenerateFitError, match=r"non-finite .* at n = \[300\]"):
+        with pytest.raises(ValueError, match=r"non-finite .* at n = \[300\]"):
             fit_rate(_rows((100, 200, 300, 400), lambda n: bad if n == 300 else 1.0 / n))
     for column in ("n", "excess_risk"):
         rows = [{k: v for k, v in row.items() if k != column}
@@ -440,6 +454,22 @@ def test_cli_infeasible_schedule_suggests_a_scale(capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "constant_scale <=" in err
+
+
+def test_cli_infeasible_schedule_is_one_config_error_line(capsys):
+    # the default sweep's first cell wants more samples than it has
+    cfg = ExperimentConfig()
+    n = cfg.n_grid[0]
+    inst = build_instance(cfg, n, RngStream(0, stream=2 * n))
+    raw = schedule_block_size(n, inst.constants, cfg.d, PrivacyBudget(cfg.eps, cfg.delta),
+                              cfg.mu)
+    assert main(["sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: block-size rule wants m = {math.ceil(raw)} of n = {n} samples; "
+        f"retry with constant_scale <= {n / raw!r} or set T and m explicitly\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -96,4 +96,4 @@ def test_frozen_records_copy_the_caller_arrays():
     make_lower_bound_instance(d=2, n=8, k=2, v=v, H=1.0)
     for arr in (center, xstar, x0, v):
         assert arr.flags.writeable
-    assert not ball.center.flags.writeable and not inst.optimum.point.flags.writeable
+    assert not ball.center.flags.writeable and not inst.optimum.flags.writeable

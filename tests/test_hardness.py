@@ -73,7 +73,7 @@ def test_superefficiency_swap_count_validation():
 def test_noiseless_least_squares_interpolates_with_growth():
     inst = make_noiseless_least_squares(2, 16, [0.5, 0.0], 2.0)
     assert interpolation_certificate(inst) == 0.0
-    assert excess_risk(inst, inst.optimum.point) == 0.0
+    assert excess_risk(inst, inst.optimum) == 0.0
     assert inst.constants.growth == 2.0
     assert inst.constants.H == 2.0
     # deterministic: a second call builds the same samples
@@ -87,7 +87,7 @@ def test_noisy_least_squares_breaks_interpolation():
     inst = make_noisy_least_squares(2, 64, [0.5, 0.0], 1.0, 0.5, RngStream(40, 0))
     assert not is_interpolating(inst)
     assert interpolation_certificate(inst) > 1e-3
-    assert excess_risk(inst, inst.optimum.point) == 0.0  # mean is still optimal
+    assert excess_risk(inst, inst.optimum) == 0.0  # mean is still optimal
     with pytest.raises(ValueError):
         make_noisy_least_squares(2, 64, [0.5, 0.0], 1.0, 0.0, RngStream(40, 0))
 
@@ -95,9 +95,9 @@ def test_noisy_least_squares_breaks_interpolation():
 def test_margin_classification_witness_is_slack():
     inst = make_margin_classification(3, 40, 0.25, RngStream(41, 0))
     assert interpolation_certificate(inst) == 0.0
-    assert population_value(inst, inst.optimum.point) == 0.0
+    assert population_value(inst, inst.optimum) == 0.0
     assert np.all(np.abs(inst.dataset.labels) == 1.0)
-    witness = inst.optimum.point
+    witness = inst.optimum
     fam = inst.family
     # a margin/2 move along any feature direction keeps every loss at zero
     for i in range(inst.n):
@@ -121,7 +121,7 @@ def _assert_draws_match(d, n, margin, gen, ref_gen):
     assert inst.dataset.points.shape == points.shape
     assert inst.dataset.points.tobytes() == points.tobytes()
     assert inst.dataset.labels.tobytes() == labels.tobytes()
-    assert inst.optimum.point.tobytes() == witness.tobytes()
+    assert inst.optimum.tobytes() == witness.tobytes()
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
@@ -223,7 +223,7 @@ def test_lower_bound_instance_population_risk():
     rng = np.random.default_rng(42)
     for _ in range(50):
         x = rng.standard_normal(2)
-        expect = (5 * 1.0 / (2.0 * 10)) * float(np.sum((x - inst.optimum.point) ** 2))
+        expect = (5 * 1.0 / (2.0 * 10)) * float(np.sum((x - inst.optimum) ** 2))
         assert abs(population_value(inst, x) - expect) <= 1e-12 * max(1.0, expect)
     # k = n reduces to the plain anchored quadratic
     full = make_lower_bound_instance(d=2, n=10, k=10, v=[1.0, 0.0], H=1.0)
@@ -306,9 +306,8 @@ def test_superefficiency_preconditions():
 
 def test_modulus_oracle_worked_example():
     base = make_noiseless_least_squares(1, 100, [0.0], 1.0, radius=1.0)
-    report = modulus_oracle(base, 3)
-    assert report.values == (0.0, 0.01, 0.02, 0.03)
-    assert modulus_oracle(base, 0).values == (0.0,)
+    assert modulus_oracle(base, 3) == (0.0, 0.01, 0.02, 0.03)
+    assert modulus_oracle(base, 0) == (0.0,)
 
 
 def test_modulus_is_monotone_and_dominates_the_swap_rate():
@@ -320,8 +319,7 @@ def test_modulus_is_monotone_and_dominates_the_swap_rate():
         domain=Ball(np.zeros(1), 1.0),
         constants=LossConstants(L=2.0, H=1.0, growth=1.0),
     )
-    rep = modulus_oracle(base, 10)
-    vals = rep.values
+    vals = modulus_oracle(base, 10)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     # each extra swap can move the mean by at least (D - max|anchor|)/n
     slack = (1.0 - float(np.abs(pts).max())) / 60
@@ -331,10 +329,9 @@ def test_modulus_is_monotone_and_dominates_the_swap_rate():
 
 def test_modulus_indicator_enumeration():
     base = make_lower_bound_instance(d=1, n=4, k=2, v=[-0.5], H=1.0)
-    rep = modulus_oracle(base, 1)
     # best single swap: turn an active -0.5 anchor into +1 (j_on = 1):
     # new mean (-0.5 + 1) / 2 = 0.25, shift 0.75 from the base mean -0.5
-    assert rep.values[1] == pytest.approx(0.75, abs=1e-15)
+    assert modulus_oracle(base, 1)[1] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_modulus_validation():

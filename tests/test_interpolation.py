@@ -1,6 +1,7 @@
 """Shrinking-ball localization, the adaptive solver, and schedule rules."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from dpsco import (
     PrivacyBudget,
     RngStream,
     Schedule,
-    ScheduleInfeasibleError,
     adaptive_solver,
     default_inner_epochs,
     default_schedule,
@@ -377,13 +377,14 @@ def test_default_schedule_feasible_path():
 def test_default_schedule_infeasible_error_carries_a_fix():
     C = LossConstants(L=1.0, H=1.0, growth=1.0)
     n = 2**20
-    with pytest.raises(ScheduleInfeasibleError) as err:
-        default_schedule(n, C, 1, PURE, 1.0)
     raw = schedule_block_size(n, C, 1, PURE, 1.0)
-    assert err.value.block_size == raw
-    assert err.value.feasible_scale == 1.0 * n / raw
+    feasible = 1.0 * n / raw
+    expect = (f"block-size rule wants m = {math.ceil(raw)} of n = {n} samples; retry with "
+              f"constant_scale <= {feasible!r} or set T and m explicitly")
+    with pytest.raises(ValueError, match=f"^{re.escape(expect)}$"):
+        default_schedule(n, C, 1, PURE, 1.0)
     # the advertised scale (with a nudge under it) actually fits
-    retry = default_schedule(n, C, 1, PURE, 1.0, constant_scale=err.value.feasible_scale * 0.999)
+    retry = default_schedule(n, C, 1, PURE, 1.0, constant_scale=feasible * 0.999)
     assert retry.m <= n
 
 

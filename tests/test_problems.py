@@ -10,12 +10,10 @@ from dpsco import (
     Dataset,
     Instance,
     LossConstants,
-    Optimum,
     PrivacyBudget,
     QuadraticAnchor,
     Schedule,
     SmoothedHingeMargin,
-    UnsupportedFamilyError,
     exact_minimizer,
     excess_risk,
     interpolation_certificate,
@@ -101,7 +99,7 @@ def test_instance_cross_validation():
             dataset=Dataset([[1.0]], labels=None),
             domain=Ball(np.zeros(1), 1.0),
             constants=LossConstants(L=1.0, H=1.0),
-            optimum=Optimum(point=[0.9]),  # not the true minimizer
+            optimum=[0.9],  # not the true minimizer
         )
     with pytest.raises(ValueError):
         Instance(
@@ -114,18 +112,18 @@ def test_instance_cross_validation():
 
 def test_optimum_point_validation():
     given = np.array([0.5, 0.0])
-    opt = Optimum(point=given)
-    assert np.array_equal(opt.point, given)
+    opt = _ls_instance([[0.5, 0.0]], optimum=given).optimum
+    assert np.array_equal(opt, given)
     with pytest.raises(ValueError):
-        opt.point[0] = 9.0  # frozen
+        opt[0] = 9.0  # frozen
     given[0] = 9.0  # the caller's array stays its own
-    assert opt.point[0] == 0.5
+    assert opt[0] == 0.5
     with pytest.raises(ValueError, match="non-finite"):
-        Optimum(point=[np.nan, 0.0])
+        _ls_instance([[0.5, 0.0]], optimum=[np.nan, 0.0])
     with pytest.raises(ValueError, match="one-dimensional"):
-        Optimum(point=[[0.5, 0.0]])
+        _ls_instance([[0.5, 0.0]], optimum=[[0.5, 0.0]])
     with pytest.raises(ValueError, match="optimum dimension"):
-        _ls_instance([[0.5, 0.0]], optimum=Optimum(point=[0.5]))
+        _ls_instance([[0.5, 0.0]], optimum=[0.5])
 
 
 def test_unlabeled_families_reject_labels():
@@ -220,7 +218,7 @@ def test_hinge_minimizer_requires_declared_optimum():
         dataset=Dataset([[1.0, 0.0]], labels=[1.0]),
         domain=Ball(np.zeros(2), 3.0),
         constants=LossConstants(L=1.0, H=2.0),
-        optimum=Optimum(point=[1.5, 0.0]),
+        optimum=[1.5, 0.0],
     )
     assert np.allclose(exact_minimizer(inst), [1.5, 0.0], atol=1e-15)
     bare = Instance(
@@ -229,17 +227,17 @@ def test_hinge_minimizer_requires_declared_optimum():
         domain=Ball(np.zeros(2), 3.0),
         constants=LossConstants(L=1.0, H=2.0),
     )
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ValueError, match="hinge instances need a declared optimum"):
         exact_minimizer(bare)
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ValueError, match="hinge excess risk needs a declared optimum"):
         excess_risk(bare, [0.0, 0.0])
 
 
 def test_interpolation_certificate_detects_shared_minimizers():
-    shared = _ls_instance([[0.5, 0.0], [0.5, 0.0]], optimum=Optimum(point=[0.5, 0.0]))
+    shared = _ls_instance([[0.5, 0.0], [0.5, 0.0]], optimum=[0.5, 0.0])
     assert interpolation_certificate(shared) == 0.0
     assert is_interpolating(shared)
-    spread = _ls_instance([[0.0, 0.0], [1.0, 0.0]], optimum=Optimum(point=[0.5, 0.0]))
+    spread = _ls_instance([[0.0, 0.0], [1.0, 0.0]], optimum=[0.5, 0.0])
     assert interpolation_certificate(spread) == pytest.approx(0.5, abs=1e-12)
     assert not is_interpolating(spread)
     with pytest.raises(ValueError):

@@ -316,7 +316,7 @@ def _one_release_at_a_time(fn):
     def run(*args, **kwargs):
         execute = base_solvers._execute
 
-        def single(inst, flat, x, center, radius, cfg, noise, tolerance=None):
+        def single(inst, flat, x, center, radius, cfg, noise):
             frames = base_solvers._Frames(flat.frames, center, radius)
             iterates, consumed, draws = [], [], iter(noise)
             with mock.patch.object(base_solvers, "_execute", execute):  # each solve's own run
@@ -325,10 +325,11 @@ def _one_release_at_a_time(fn):
                         x = frames.step(op, x)
                     c, r = ((frames.center[f], frames.radius[f]) if step.radius is None
                             else (x, step.radius))
+                    # the tolerance at which the executor stops this release
+                    tol = max(step.noise_scale / 100.0, cfg.tolerance)
                     x, used = solve_regularized_erm(
-                        inst, x, step.eta, Ball(c, r), cfg, span=step.samples,
-                        clip=step.lipschitz,
-                        tolerance=step.noise_scale / 100.0 if step.noise_scale > 0 else tolerance,
+                        inst, x, step.eta, Ball(c, r), replace(cfg, tolerance=tol),
+                        span=step.samples, clip=step.lipschitz,
                     )
                     if step.noise_scale > 0:
                         x = x + next(draws)

@@ -18,9 +18,8 @@ from dpsco.problems import Dataset, Instance
 PACKAGE = Path(dpsco.__file__).resolve().parent
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the one module that tests for an integer type (its count rule), and the one
-# function elsewhere that does so to format output, not to validate input
-INTEGER_TESTS_ALLOWED = {("geometry.py", None), ("bench.py", "_format_cell")}
+# the one module that tests for an integer type: its count rule
+INTEGER_TESTS_ALLOWED = {("geometry.py", None)}
 # the benchmark harness is the one caller outside the package and the tests
 PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 # The single-row and single-phase reference forms: the tests pin the
@@ -33,7 +32,6 @@ TEST_ONLY_ALLOWED = {
 SETTABLE_TEST_ONLY_ALLOWED = {
     "solve_regularized_erm.span": "reference form (TEST_ONLY_ALLOWED)",
     "solve_regularized_erm.clip": "reference form (TEST_ONLY_ALLOWED)",
-    "solve_regularized_erm.tolerance": "reference form (TEST_ONLY_ALLOWED)",
     "loss_value.label": "reference form (TEST_ONLY_ALLOWED)",
     "loss_gradient.label": "reference form (TEST_ONLY_ALLOWED)",
     # perfbench passes InnerSolveConfig() by position, so the class goes

@@ -154,7 +154,7 @@ COUNTS = [
     ("make_packing", "d", lambda v: make_packing(1.0, 0.25, v).tolist(), 2, 1, 3),
     ("superefficiency_construct", "r",
      lambda v: superefficiency_construct(BASE, v, 1.0).shift, 2, 1, None),
-    ("modulus_oracle", "k", lambda v: modulus_oracle(BASE, v).values, 3, 0, 99),
+    ("modulus_oracle", "k", lambda v: modulus_oracle(BASE, v), 3, 0, 99),
     ("stability_bound_check", "k",
      lambda v: stability_bound_check(BASE, BASE, v, LossConstants(L=2.0, H=1.0, growth=1.0)),
      1, 0, None),
